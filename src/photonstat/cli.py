@@ -8,15 +8,12 @@ the only output carrying a wall time; data and report files are byte-stable
 under reruns with the same seed.
 
 Exit codes: 0 success, 1 analysis or criterion failure, 2 input error.
-PHOTONSTAT_THREADS caps internal parallelism (the engine is sequential, the
-cap is recorded for provenance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -111,7 +108,6 @@ class _Run:
             "tool_version": __version__,
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
-            "threads": os.environ.get("PHOTONSTAT_THREADS"),
             "overrides": self.overrides,
             "wall_time_s": round(time.monotonic() - self.t0, 3),
         }
@@ -233,9 +229,10 @@ def cmd_analyze_lifetime(args) -> int:
         print(f"lifetime analysis failed: {exc}", file=sys.stderr)
         return 1
     t = hist.bin_centers
+    dt = np.maximum(t - fit.fit_start, 0.0)
     model = (
-        fit.amplitude_fast * np.exp(-np.maximum(t - hist.bin_centers[0], 0.0) / (fit.tau_fast * 1000.0))
-        + fit.amplitude_slow * np.exp(-np.maximum(t - hist.bin_centers[0], 0.0) / (fit.tau_slow * 1000.0))
+        fit.amplitude_fast * np.exp(-dt / (fit.tau_fast * 1000.0))
+        + fit.amplitude_slow * np.exp(-dt / (fit.tau_slow * 1000.0))
         + fit.background
     )
     write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), t, model)

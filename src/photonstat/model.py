@@ -103,15 +103,14 @@ class EmitterSpec:
 class ExcitationSpec:
     """Pump description.
 
-    rep_rate in Hz (pulsed mode), pulse_width and recapture_time in ps,
-    power_ratio is P/P_sat.  recapture_probability_at_sat is the per-emission
+    rep_rate in Hz (pulsed mode), recapture_time in ps, power_ratio is
+    P/P_sat.  recapture_probability_at_sat is the per-emission
     re-excitation probability at P = P_sat; it scales linearly with
     power_ratio and clamps above saturation.
     """
 
     mode: ExcitationMode
     rep_rate: float
-    pulse_width: float
     power_ratio: float
     recapture_probability_at_sat: float
     recapture_time: float
@@ -215,8 +214,6 @@ def validate(config: ExperimentConfig) -> list[Violation]:
     ex = config.excitation
     if ex.mode is ExcitationMode.PULSED and not ex.rep_rate > 0:
         add(Violation("excitation.rep_rate", "must be > 0 in pulsed mode"))
-    if not ex.pulse_width > 0:
-        add(Violation("excitation.pulse_width", "must be > 0"))
     if not ex.power_ratio >= 0:
         add(Violation("excitation.power_ratio", "must be >= 0"))
     if not _in_unit_interval(ex.recapture_probability_at_sat):
@@ -274,7 +271,6 @@ def paper_device_defaults() -> ExperimentConfig:
         excitation=ExcitationSpec(
             mode=ExcitationMode.PULSED,
             rep_rate=80e6,
-            pulse_width=100.0,
             power_ratio=1.0,
             recapture_probability_at_sat=0.40,
             recapture_time=50.0,
@@ -324,7 +320,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "excitation": {
             "mode": config.excitation.mode.value,
             "rep_rate": float(config.excitation.rep_rate),
-            "pulse_width": float(config.excitation.pulse_width),
             "power_ratio": float(config.excitation.power_ratio),
             "recapture_probability_at_sat": float(config.excitation.recapture_probability_at_sat),
             "recapture_time": float(config.excitation.recapture_time),
@@ -421,7 +416,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         {
             "mode",
             "rep_rate",
-            "pulse_width",
             "power_ratio",
             "recapture_probability_at_sat",
             "recapture_time",
@@ -437,7 +431,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     excitation = ExcitationSpec(
         mode=mode,
         rep_rate=_number(ex["rep_rate"], "excitation.rep_rate"),
-        pulse_width=_number(ex["pulse_width"], "excitation.pulse_width"),
         power_ratio=_number(ex["power_ratio"], "excitation.power_ratio"),
         recapture_probability_at_sat=_number(
             ex["recapture_probability_at_sat"], "excitation.recapture_probability_at_sat"

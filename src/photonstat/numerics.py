@@ -1,10 +1,11 @@
-"""Shared numerics: damped least squares, grid convolution, reproducible RNG substreams.
+"""Shared numerics: bounded least squares, grid convolution, reproducible RNG substreams.
 
 Everything stochastic in this package draws randomness exclusively through
 :func:`rng_substream`, so a (seed, stream_index) pair pins every simulated
-byte.  The fitter is a damped Gauss-Newton (Levenberg-Marquardt style damping
-schedule) over a finite-difference Jacobian; it is deterministic for fixed
-inputs and never consumes randomness.
+byte.  The fitter is scipy's trust-region reflective least squares behind a
+small problem/result interface that adds the package's error and covariance
+conventions; it is deterministic for fixed inputs and never consumes
+randomness.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import warnings
 
 import numpy as np
+from scipy.optimize import least_squares as scipy_least_squares
 from scipy.signal import fftconvolve
 
 __all__ = [
@@ -21,7 +23,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "least_squares",
-    "finite_difference_jacobian",
     "convolve_profiles",
     "profile_fwhm",
     "SubStream",
@@ -32,11 +33,6 @@ __all__ = [
 RNG_ALGORITHM = "philox4x64"
 
 _MASK64 = (1 << 64) - 1
-_FD_REL_STEP = 1e-6
-_FD_ABS_STEP = 1e-9
-_DAMP_UP = 10.0
-_DAMP_DOWN = 3.0
-_DAMP_MAX = 1e12
 
 
 class FitError(RuntimeError):
@@ -63,10 +59,12 @@ class FitProblem:
         Per-point weights w_i (interpreted as 1/variance).  ``None`` means
         unweighted.
     max_iterations : int
-        Iteration cap.  Hitting it returns the last iterate with
+        Cap on model evaluations (finite-difference Jacobian evaluations
+        excluded).  Hitting it returns the last iterate with
         ``converged=False`` rather than raising.
     tolerance : float
-        Relative parameter-change threshold declaring convergence.
+        Relative parameter-change threshold declaring convergence (scipy's
+        ``xtol``).
     """
 
     model: Callable[[np.ndarray, object], np.ndarray]
@@ -86,7 +84,8 @@ class FitResult:
     ``covariance`` is (J^T W J)^-1, scaled by the reduced chi-square for
     unweighted problems; it is symmetrized, and meaningful only when
     ``converged`` is true.  ``residual_norm`` is the weighted L2 norm of the
-    final residual.
+    final residual.  ``iterations`` is the solver's count of model
+    evaluations.
     """
 
     params: np.ndarray
@@ -97,50 +96,30 @@ class FitResult:
     message: str = ""
 
 
-def finite_difference_jacobian(
-    fun: Callable[[np.ndarray], np.ndarray],
-    params: np.ndarray,
-    f0: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Forward-difference Jacobian of ``fun`` at ``params``.
-
-    Step per parameter is ``max(1e-6 * |p|, 1e-9)``.
-    """
-    p = np.asarray(params, dtype=float)
-    if f0 is None:
-        f0 = np.asarray(fun(p), dtype=float)
-    jac = np.empty((f0.size, p.size))
-    for i in range(p.size):
-        step = max(_FD_REL_STEP * abs(p[i]), _FD_ABS_STEP)
-        q = p.copy()
-        q[i] += step
-        jac[:, i] = (np.asarray(fun(q), dtype=float) - f0) / step
-    return jac
-
-
 def _problem_bounds(problem: FitProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     if problem.bounds is None:
         return np.full(n, -np.inf), np.full(n, np.inf)
     lo = np.array([b[0] if b[0] is not None else -np.inf for b in problem.bounds], float)
     hi = np.array([b[1] if b[1] is not None else np.inf for b in problem.bounds], float)
-    if lo.size != n or np.any(lo > hi):
-        raise ValueError("bounds must be one (lo, hi) pair per parameter with lo <= hi")
+    if lo.size != n or np.any(lo >= hi):
+        raise ValueError("bounds must be one (lo, hi) pair per parameter with lo < hi")
     return lo, hi
 
 
 def least_squares(problem: FitProblem) -> FitResult:
-    """Solve a nonlinear least-squares problem by damped Gauss-Newton.
+    """Solve a weighted, box-bounded nonlinear least-squares problem.
 
-    The normal equations are damped Levenberg-Marquardt style,
-    ``(J^T W J + lam * diag(J^T W J)) delta = -J^T W r``; ``lam`` shrinks on
-    accepted steps and grows on rejected ones.  Candidate steps are projected
-    onto the box bounds.  Deterministic for fixed inputs.
+    A thin wrapper over :func:`scipy.optimize.least_squares` (trust-region
+    reflective, Jacobian-scaled variables, forward-difference Jacobian),
+    with the solver's function-evaluation count as the iteration cap and
+    ``tolerance`` as its ``xtol``.  Deterministic for fixed inputs.
 
     Raises
     ------
     FitError
-        If the normal equations are singular, which includes the case of a
-        parameter with no effect on the residual (zero Jacobian column).
+        If the model is not finite at the start, or if a parameter has no
+        effect on the residual at the solution (zero Jacobian column), which
+        leaves the normal equations singular.
     """
     y = np.asarray(problem.y, dtype=float)
     p = np.asarray(problem.initial_params, dtype=float).copy()
@@ -166,75 +145,39 @@ def least_squares(problem: FitProblem) -> FitResult:
     def residual(q: np.ndarray) -> np.ndarray:
         return sqw * (np.asarray(problem.model(q, problem.x), dtype=float) - y)
 
-    r = residual(p)
-    if not np.all(np.isfinite(r)):
+    if not np.all(np.isfinite(residual(p))):
         raise FitError("model is not finite at the initial parameters")
-    cost = float(r @ r)
-    lam = 1e-3
-    converged = False
-    message = "iteration cap reached"
-    iterations = 0
+    sol = scipy_least_squares(
+        residual, p, bounds=(lo, hi), method="trf", x_scale="jac",
+        max_nfev=problem.max_iterations, xtol=problem.tolerance,
+    )
 
-    for iterations in range(1, problem.max_iterations + 1):
-        jac = finite_difference_jacobian(residual, p, r)
-        if not np.all(np.isfinite(jac)):
-            raise FitError("Jacobian is not finite")
-        a = jac.T @ jac
-        g = jac.T @ r
-        diag = np.diag(a).copy()
-        dead = diag <= 0.0
-        if np.any(dead):
-            idx = int(np.nonzero(dead)[0][0])
-            raise FitError(
-                f"singular normal equations: parameter {idx} has no effect on the residual"
-            )
-
-        accepted = False
-        while lam <= _DAMP_MAX:
-            try:
-                delta = np.linalg.solve(a + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError as exc:
-                raise FitError(f"singular normal equations: {exc}") from exc
-            q = np.clip(p + delta, lo, hi)
-            rq = residual(q)
-            cq = float(rq @ rq)
-            if np.isfinite(cq) and cq <= cost:
-                step = q - p
-                improvement = cost - cq
-                p, r, cost = q, rq, cq
-                lam = max(lam / _DAMP_DOWN, 1e-14)
-                accepted = True
-                break
-            lam *= _DAMP_UP
-        if not accepted:
-            message = "damping exhausted without improving the cost"
-            break
-        if np.all(np.abs(step) <= problem.tolerance * (np.abs(p) + problem.tolerance)):
-            converged = True
-            message = "converged"
-            break
-        if improvement <= 1e-12 * max(cost, 1e-300):
-            converged = True
-            message = "converged"
-            break
-
-    jac = finite_difference_jacobian(residual, p, r)
+    jac = sol.jac
+    if not np.all(np.isfinite(jac)):
+        raise FitError("Jacobian is not finite at the solution")
     a = jac.T @ jac
+    dead = np.diag(a) <= 0.0
+    if np.any(dead):
+        idx = int(np.nonzero(dead)[0][0])
+        raise FitError(
+            f"singular normal equations: parameter {idx} has no effect on the residual"
+        )
     try:
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(a)
+    cost = float(sol.fun @ sol.fun)
     if problem.weights is None:
         dof = max(y.size - p.size, 1)
         cov = cov * (cost / dof)
     cov = 0.5 * (cov + cov.T)
     return FitResult(
-        params=p,
+        params=sol.x,
         covariance=cov,
         residual_norm=float(np.sqrt(cost)),
-        iterations=iterations,
-        converged=converged,
-        message=message,
+        iterations=int(sol.nfev),
+        converged=bool(sol.status > 0),
+        message=sol.message,
     )
 
 
@@ -334,9 +277,6 @@ class SubStream:
 
     def poisson(self, mean: float, size=None):
         return self._gen.poisson(mean, size)
-
-    def bernoulli(self, p: float, size=None):
-        return self._gen.random(size) < p
 
 
 def rng_substream(seed: int, stream_index: int) -> SubStream:

@@ -8,8 +8,9 @@ Click streams serialize to a little-endian binary format:
     count   u64
     count timestamps, u64, picoseconds, sorted ascending
 
-and alternatively to CSV with one timestamp per line.  Photon records
-serialize to CSV with columns pulse_index, time_ps, complex, is_reexcitation.
+and can be read, for interoperability, from CSV with one timestamp per
+line.  Photon records serialize to CSV with columns pulse_index, time_ps,
+complex, is_reexcitation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "ClickStream",
     "write_clicks_binary",
     "read_clicks_binary",
-    "write_clicks_csv",
     "read_clicks_csv",
     "write_photons_csv",
     "read_photons_csv",
@@ -151,13 +151,6 @@ def read_clicks_binary(path) -> ClickStream:
         raise ValueError(f"{path}: payload length does not match declared count {count}")
     ts = np.frombuffer(payload, dtype="<u8").astype(np.int64)
     return ClickStream(detector_id=detector_id, timestamps=ts)
-
-
-def write_clicks_csv(path, stream: ClickStream) -> None:
-    """One timestamp per line, for interoperability."""
-    with open(path, "w") as fh:
-        for t in stream.timestamps:
-            fh.write(f"{int(t)}\n")
 
 
 def read_clicks_csv(path, detector_id: int = 0) -> ClickStream:

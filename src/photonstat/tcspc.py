@@ -34,6 +34,12 @@ __all__ = [
 
 _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
+# Pre-trigger span of a folded decay, ps: ten FWHMs of the stock 200 ps
+# detector jitter, so the next pulse's jitter-early clicks fold to just
+# before t = 0 instead of onto the last bins of the window, where the fit
+# would read them as a rising tail.
+_FOLD_PRE_TRIGGER = 2_000.0
+
 
 @dataclass(frozen=True)
 class DecayHistogram:
@@ -122,9 +128,13 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     events may be a PhotonStream (pulse-relative emission times are used
     directly), a ClickStream, or a plain array of times.  fold wraps times
     modulo a pulse period before binning, which is how absolute click times
-    become pulse-relative; window truncates (defaults to the folded period
-    or the latest event).  Empty input produces an empty histogram, which
-    the fit rejects later.
+    become pulse-relative.  Folded times span [-pre, fold - pre), with pre
+    a 2 ns pre-trigger span capped at a tenth of the period and rounded
+    down to whole bins, so t = 0 (the pulse) stays on a bin edge and clicks
+    that jitter ahead of their pulse land at negative times.  window is the
+    histogram span from its first edge (-pre when folding, else 0) and
+    defaults to the folded period or the latest event.  Empty input
+    produces an empty histogram, which the fit rejects later.
     """
     if isinstance(events, PhotonStream):
         times = np.asarray(events.emission_time, dtype=np.float64)
@@ -134,10 +144,12 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
         times = np.asarray(events, dtype=np.float64)
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
+    pre = 0.0
     if fold is not None:
         if fold <= 0:
             raise ValueError("fold period must be > 0")
-        times = np.mod(times, fold)
+        pre = math.floor(min(_FOLD_PRE_TRIGGER, 0.1 * fold) / bin_width) * bin_width
+        times = np.mod(times + pre, fold) - pre
     if window is None:
         if fold is not None:
             window = fold
@@ -146,7 +158,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
         else:
             window = bin_width
     n_bins = max(int(math.ceil(window / bin_width)), 1)
-    counts, edges = np.histogram(times, bins=n_bins, range=(0.0, n_bins * bin_width))
+    counts, edges = np.histogram(times, bins=n_bins, range=(-pre, n_bins * bin_width - pre))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayHistogram(bin_centers=centers, counts=counts.astype(np.int64), bin_width=bin_width)
 

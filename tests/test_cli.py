@@ -11,7 +11,7 @@ import pytest
 
 from photonstat.cli import main
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
-from photonstat.report import read_report, write_array_csvs, write_saturation_csv
+from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_saturation_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
 from photonstat.report import write_profile_csv
 
@@ -122,6 +122,15 @@ class TestSimulate:
         assert any("tau_fast" in l for l in lines)
         assert any("efficiency" in l for l in lines)
 
+    def test_removed_pulse_width_field_is_input_error(self, tmp_path, config_path, capsys):
+        data = json.loads(config_path.read_text())
+        data["excitation"]["pulse_width"] = 100.0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        rc = main(["simulate", "--config", str(old), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "pulse_width" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path / "x")])
@@ -160,6 +169,19 @@ class TestAnalyze:
         assert 1.0 < report["payload"]["tau_fast"] < 2.0
         assert (out / "decay.csv").exists()
         assert (out / "decay_fit.csv").exists()
+
+    def test_decay_fit_curve_is_referenced_to_fit_start(self, tmp_path, sim_dir):
+        out = tmp_path / "life"
+        rc = main([
+            "analyze", "lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
+            "--out-dir", str(out), "--rep-rate", "20e6", "--fit-start", "3050",
+        ])
+        assert rc == 0
+        fit = read_report(out / "lifetime.json")["payload"]
+        t, model = read_xy_csv(out / "decay_fit.csv", expected_header=("time_ps", "model_counts"))
+        (at_start,) = model[t == 3050.0]  # a bin center
+        assert at_start == pytest.approx(
+            fit["amplitude_fast"] + fit["amplitude_slow"] + fit["background"], rel=1e-12)
 
     def test_g2_report(self, tmp_path, sim_dir):
         out = tmp_path / "g2"

@@ -4,9 +4,13 @@ Synthetic data is drawn from the exact generating distribution with keyed
 substreams, so every recovery target is the injected truth.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from photonstat.engine import simulate_pulsed
+from photonstat.model import ChargeComplex, ChargeTag, DetectorSpec, paper_device_defaults
 from photonstat.numerics import FitError, rng_substream
 from photonstat.streams import ClickStream
 from photonstat.tcspc import (
@@ -51,6 +55,19 @@ class TestBuildHistogram:
         k = int(np.argmax(hist.counts))
         assert hist.counts[k] == 2
         assert hist.bin_centers[k] == pytest.approx(550.0, abs=50.0)
+
+    def test_fold_puts_jitter_early_clicks_before_the_pulse(self):
+        # 12_400 ps is 100 ps ahead of the next 12_500 ps pulse: it folds to
+        # -100 ps, and t = 0 stays on a bin edge.  The pre-pulse span is
+        # 2 ns, capped at a tenth of a short period in whole bins (1_200 ps).
+        hist = build_decay_histogram(
+            np.array([12_400.0, 12_550.0]), bin_width=100.0, fold=12_500.0
+        )
+        assert hist.bin_centers[0] == pytest.approx(-1_200.0 + 50.0)
+        assert hist.counts[hist.bin_centers == -50.0][0] == 1
+        assert hist.counts[hist.bin_centers == 50.0][0] == 1
+        long_period = build_decay_histogram(np.array([0.0]), bin_width=100.0, fold=2e5)
+        assert long_period.bin_centers[0] == pytest.approx(-2_000.0 + 50.0)
 
     def test_accepts_click_stream(self):
         stream = ClickStream(detector_id=0, timestamps=np.array([100, 200, 300]))
@@ -151,6 +168,35 @@ class TestBiexponentialFit:
         assert fit.tau_fast == pytest.approx(1.5, rel=0.05)
         assert fit.tau_slow == pytest.approx(30.0, rel=0.25)
         assert fit.slow_fraction > 0.05
+
+
+class TestJitteredLifetimeRoundTrip:
+    def test_c4_device_under_stock_detector_jitter(self):
+        # C4's run with the stock 200 ps detector jitter: the next pulse's
+        # jitter-early clicks must fold to before t = 0, not onto the end of
+        # the window, or they read as a rising tail that biases tau_slow
+        # low.  Same device, pulse count, seed and 5% tolerances as C4.
+        base = paper_device_defaults()
+        cfg = dataclasses.replace(
+            base,
+            emitter=dataclasses.replace(
+                base.emitter, complexes=(ChargeComplex(ChargeTag.XMINUS, 1264.0, 1.0),)),
+            excitation=dataclasses.replace(
+                base.excitation, rep_rate=5e6, recapture_probability_at_sat=0.0),
+            chain=dataclasses.replace(
+                base.chain, beta=1.0, directionality=1.0, sideband_pass=1.0,
+                transmission=1.0, filter_bandwidth=0.0),
+            detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=200.0, dead_time=0.0),),
+            duration=1_700_000,
+            rng_seed=210,
+        )
+        _, clicks = simulate_pulsed(cfg)
+        hist = build_decay_histogram(clicks[0], bin_width=100.0, fold=2e5)
+        assert hist.bin_centers[0] < 0.0 and hist.counts[hist.bin_centers < 0].sum() > 0
+        fit = fit_biexponential(hist)
+        assert fit.tau_fast == pytest.approx(1.5, rel=0.05)
+        assert fit.tau_slow == pytest.approx(30.0, rel=0.05)
+        assert fit.reduced_chi_square < 1.5
 
 
 class TestCorrelate:
