@@ -31,11 +31,22 @@ Model per pulse:
    survives detector efficiency, gets Gaussian timing jitter
    (sigma = fwhm / 2.3548), and per-detector streams are then sorted and the
    detector dead time is applied.
+
+Each partition pre-draws five arrays (excite, complex, dark, delay,
+reservoir) and computes every candidate pulse's outcome with array
+operations.  A Python loop visits only the accepted candidates whose
+reservoir is still alive at their emission (they make the scalar
+re-excitation draws, in pulse order) or whose emission comes after the
+next candidate's pulse (they may block it); everything between two visits
+is accepted in bulk.  The draws, their order and the float expressions are
+those of a plain pulse-by-pulse loop, so the output is unchanged bit for
+bit; ``tests/test_engine.py`` keeps that loop as a reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -95,75 +106,94 @@ def _band_mask(config: ExperimentConfig) -> np.ndarray:
     return np.abs(lam - ch.filter_center) <= 0.5 * ch.filter_bandwidth
 
 
-def _grow(arr: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.size * 2, dtype=arr.dtype)
-    out[: arr.size] = arr
-    return out
-
-
 def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
                         dark_fraction, tau_fast_ps, tau_slow_ps, p_rc, rc_ps,
                         next_free):
     """One fixed partition of pulses.  Returns photon columns and the updated
     dot-free time.  Draw order: five pre-drawn arrays (excite, complex, dark,
-    delay, reservoir), then per-chain scalar draws in pulse order."""
+    delay, reservoir), then per-chain scalar draws in pulse order.
+
+    A candidate between two visited ones is accepted in bulk: the dot is
+    free at its pulse and frees again before the next candidate's pulse.
+    """
     u_exc = gen.uniform(n)
     u_cx = gen.uniform(n)
-    u_dark = gen.uniform(n).tolist()
-    e_delay = gen.exponential(1.0, n).tolist()
-    e_res = gen.exponential(1.0, n).tolist()
-    cx_first = np.searchsorted(cum_weights, u_cx, side="right").tolist()
+    u_dark = gen.uniform(n)
+    e_delay = gen.exponential(1.0, n)
+    e_res = gen.exponential(1.0, n)
 
-    cand = np.nonzero(u_exc < p_exc)[0].tolist()
-    cap = len(cand) + 64
-    out_pulse = np.empty(cap, np.int64)
-    out_rel = np.empty(cap, np.float64)
-    out_cx = np.empty(cap, np.int16)
-    out_re = np.empty(cap, bool)
-    m = 0
-    n_complexes = cum_weights.size
+    cand = np.nonzero(u_exc < p_exc)[0]
+    n_cand = cand.size
+    t_p = (start_pulse + cand) * period_ps
+    delay = np.where(u_dark[cand] < dark_fraction,
+                     e_delay[cand] * tau_slow_ps, e_delay[cand] * tau_fast_ps)
+    t_e = t_p + delay
+    if p_rc > 0.0:
+        res_death = t_p + e_res[cand] * rc_ps
+    else:
+        res_death = np.full(n_cand, -np.inf)
+    # visited: the reservoir outlives the emission, or the emission blocks
+    # the next candidate's pulse
+    visit = t_e < res_death
+    visit[:-1] |= t_e[:-1] > t_p[1:]
+    visit_pos = np.flatnonzero(visit)
+    visit_list = visit_pos.tolist()
+    visit_tp = t_p[visit_pos].tolist()
+    visit_te = t_e[visit_pos].tolist()
+    visit_res = res_death[visit_pos].tolist()
+    visit_next_tp = np.append(t_p, np.inf)[visit_pos + 1].tolist()
+
+    chain_pos, chain_rel, chain_cx = [], [], []
+    cum_list = cum_weights.tolist()
+    last_cx = len(cum_list) - 1
     uniform = gen.uniform
     exponential = gen.exponential
 
-    for i in cand:
-        t_p = (start_pulse + i) * period_ps
-        if t_p < next_free:
-            continue
-        if u_dark[i] < dark_fraction:
-            delay = e_delay[i] * tau_slow_ps
-        else:
-            delay = e_delay[i] * tau_fast_ps
-        t_e = t_p + delay
-        if m == cap:
-            out_pulse, out_rel = _grow(out_pulse), _grow(out_rel)
-            out_cx, out_re = _grow(out_cx), _grow(out_re)
-            cap *= 2
-        out_pulse[m] = start_pulse + i
-        out_rel[m] = t_e - t_p
-        out_cx[m] = cx_first[i]
-        out_re[m] = False
-        m += 1
-        if p_rc > 0.0:
-            res_death = t_p + e_res[i] * rc_ps
-            while t_e < res_death and uniform() < p_rc:
-                t_c = t_e + exponential(rc_ps)
-                if uniform() < dark_fraction:
-                    d2 = exponential(tau_slow_ps)
-                else:
-                    d2 = exponential(tau_fast_ps)
-                cx2 = min(int(np.searchsorted(cum_weights, uniform(), side="right")), n_complexes - 1)
-                t_e = t_c + d2
-                if m == cap:
-                    out_pulse, out_rel = _grow(out_pulse), _grow(out_rel)
-                    out_cx, out_re = _grow(out_cx), _grow(out_re)
-                    cap *= 2
-                out_pulse[m] = start_pulse + i
-                out_rel[m] = t_e - t_p
-                out_cx[m] = cx2
-                out_re[m] = True
-                m += 1
-        next_free = t_e
-    return out_pulse[:m], out_rel[:m], out_cx[:m], out_re[:m], next_free
+    t_p_list = None  # built at the first pulse that blocks another
+    k = int(np.searchsorted(t_p, next_free))
+    blocked = np.zeros(n_cand, dtype=bool)
+    blocked[:k] = True
+    j = 0
+    while k < n_cand:
+        j = bisect_left(visit_list, k, j)
+        if j == len(visit_list):
+            next_free = float(t_e[-1])
+            break
+        s = visit_list[j]
+        tp = visit_tp[j]
+        te = visit_te[j]
+        res = visit_res[j]
+        while te < res and uniform() < p_rc:
+            t_c = te + exponential(rc_ps)
+            if uniform() < dark_fraction:
+                d2 = exponential(tau_slow_ps)
+            else:
+                d2 = exponential(tau_fast_ps)
+            chain_cx.append(min(bisect_right(cum_list, uniform()), last_cx))
+            te = t_c + d2
+            chain_pos.append(s)
+            chain_rel.append(te - tp)
+        next_free = te
+        k = s + 1
+        if te > visit_next_tp[j]:
+            if t_p_list is None:
+                t_p_list = t_p.tolist()
+            k = bisect_left(t_p_list, te, k)
+            blocked[s + 1:k] = True
+
+    accepted = np.flatnonzero(~blocked)
+    pos = accepted
+    rel = t_e[accepted] - t_p[accepted]
+    cx = np.searchsorted(cum_weights, u_cx[cand[accepted]], side="right").astype(np.int16)
+    re = np.zeros(accepted.size, dtype=bool)
+    if chain_pos:
+        pos = np.concatenate([accepted, chain_pos])
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        rel = np.concatenate([rel, chain_rel])[order]
+        cx = np.concatenate([cx, np.array(chain_cx, dtype=np.int16)])[order]
+        re = np.concatenate([re, np.ones(len(chain_pos), dtype=bool)])[order]
+    return start_pulse + cand[pos], rel, cx, re, next_free
 
 
 def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
@@ -185,15 +215,25 @@ def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
 
 
 def _dead_time_filter(ts: np.ndarray, dead_ps: float) -> np.ndarray:
-    if dead_ps <= 0 or ts.size == 0:
+    """Drop each click closer than dead_ps to the last kept one (sorted ts).
+
+    A click at least dead_ps after its predecessor is always kept, so the
+    scalar walk runs only across the runs of shorter gaps.
+    """
+    if dead_ps <= 0 or ts.size < 2:
         return ts
-    keep = np.empty(ts.size, dtype=bool)
-    last = -np.inf
+    short = np.flatnonzero(np.diff(ts) < dead_ps) + 1
+    if short.size == 0:
+        return ts
+    keep = np.ones(ts.size, dtype=bool)
     tl = ts.tolist()
-    for i, t in enumerate(tl):
-        if t - last >= dead_ps:
-            keep[i] = True
-            last = t
+    prev = -1
+    for i in short.tolist():
+        if i != prev + 1:
+            last = tl[i - 1]  # opens the run, after a long gap: kept
+        prev = i
+        if tl[i] - last >= dead_ps:
+            last = tl[i]
         else:
             keep[i] = False
     return ts[keep]

@@ -149,7 +149,10 @@ def read_clicks_binary(path) -> ClickStream:
     payload = raw[_HEADER.size :]
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: payload length does not match declared count {count}")
-    ts = np.frombuffer(payload, dtype="<u8").astype(np.int64)
+    raw_ts = np.frombuffer(payload, dtype="<u8")
+    if raw_ts.size and raw_ts.max() >= 1 << 63:
+        raise ValueError(f"{path}: timestamp {int(raw_ts.max())} does not fit in int64")
+    ts = raw_ts.astype(np.int64)
     return ClickStream(detector_id=detector_id, timestamps=ts)
 
 

@@ -128,7 +128,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     events may be a PhotonStream (pulse-relative emission times are used
     directly), a ClickStream, or a plain array of times.  fold wraps times
     modulo a pulse period before binning, which is how absolute click times
-    become pulse-relative.  Folded times span [-pre, fold - pre), with pre
+    become pulse-relative; bin_width must divide it.  Folded times span [-pre, fold - pre), with pre
     a 2 ns pre-trigger span capped at a tenth of the period and rounded
     down to whole bins, so t = 0 (the pulse) stays on a bin edge and clicks
     that jitter ahead of their pulse land at negative times.  window is the
@@ -148,6 +148,10 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     if fold is not None:
         if fold <= 0:
             raise ValueError("fold period must be > 0")
+        n_fold = fold / bin_width
+        if abs(n_fold - round(n_fold)) > 1e-9 * n_fold:
+            raise ValueError(f"bin width {bin_width:g} ps does not divide the fold period "
+                             f"{fold:g} ps, so the last bin would be partly empty")
         pre = math.floor(min(_FOLD_PRE_TRIGGER, 0.1 * fold) / bin_width) * bin_width
         times = np.mod(times + pre, fold) - pre
     if window is None:

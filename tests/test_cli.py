@@ -279,6 +279,14 @@ class TestAnalyze:
         assert payload["collection_efficiency"] == pytest.approx(0.66, abs=5e-3)
         assert payload["inconsistent"] is False
 
+    def test_fold_bin_width_not_dividing_the_period_is_exit_2(self, tmp_path, sim_dir, capsys):
+        rc = main([
+            "analyze", "lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
+            "--out-dir", str(tmp_path / "life"), "--rep-rate", "20e6", "--bin-width", "300",
+        ])
+        assert rc == 2
+        assert "does not divide" in capsys.readouterr().err
+
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         rc = main(["analyze", "lifetime", "--input", str(tmp_path / "no.pstm"),
                    "--out-dir", str(tmp_path / "x")])

@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 import photonstat
+from photonstat import engine
+from photonstat.acceptance import _hbt_config, _perfect_chain, _single_line
 from photonstat.engine import (
+    PARTITION_PULSES,
+    _dead_time_filter,
     merge_background,
     recapture_probability,
     simulate_cw,
@@ -346,6 +350,214 @@ class TestBackground:
         a = merge_background(empty, 10_000.0, cfg)
         b = merge_background(empty, 10_000.0, cfg)
         np.testing.assert_array_equal(a.timestamps, b.timestamps)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference engine: the pulse-by-pulse loop the array engine replaced.
+# The array engine must make the same draws in the same order and return the
+# same columns bit for bit.
+
+
+def _grow(arr):
+    out = np.empty(arr.size * 2, dtype=arr.dtype)
+    out[: arr.size] = arr
+    return out
+
+
+def _reference_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
+                         dark_fraction, tau_fast_ps, tau_slow_ps, p_rc, rc_ps,
+                         next_free):
+    u_exc = gen.uniform(n)
+    u_cx = gen.uniform(n)
+    u_dark = gen.uniform(n).tolist()
+    e_delay = gen.exponential(1.0, n).tolist()
+    e_res = gen.exponential(1.0, n).tolist()
+    cx_first = np.searchsorted(cum_weights, u_cx, side="right").tolist()
+
+    cand = np.nonzero(u_exc < p_exc)[0].tolist()
+    cap = len(cand) + 64
+    out_pulse = np.empty(cap, np.int64)
+    out_rel = np.empty(cap, np.float64)
+    out_cx = np.empty(cap, np.int16)
+    out_re = np.empty(cap, bool)
+    m = 0
+    n_complexes = cum_weights.size
+    uniform = gen.uniform
+    exponential = gen.exponential
+
+    for i in cand:
+        t_p = (start_pulse + i) * period_ps
+        if t_p < next_free:
+            continue
+        if u_dark[i] < dark_fraction:
+            delay = e_delay[i] * tau_slow_ps
+        else:
+            delay = e_delay[i] * tau_fast_ps
+        t_e = t_p + delay
+        if m == cap:
+            out_pulse, out_rel = _grow(out_pulse), _grow(out_rel)
+            out_cx, out_re = _grow(out_cx), _grow(out_re)
+            cap *= 2
+        out_pulse[m] = start_pulse + i
+        out_rel[m] = t_e - t_p
+        out_cx[m] = cx_first[i]
+        out_re[m] = False
+        m += 1
+        if p_rc > 0.0:
+            res_death = t_p + e_res[i] * rc_ps
+            while t_e < res_death and uniform() < p_rc:
+                t_c = t_e + exponential(rc_ps)
+                if uniform() < dark_fraction:
+                    d2 = exponential(tau_slow_ps)
+                else:
+                    d2 = exponential(tau_fast_ps)
+                cx2 = min(int(np.searchsorted(cum_weights, uniform(), side="right")), n_complexes - 1)
+                t_e = t_c + d2
+                if m == cap:
+                    out_pulse, out_rel = _grow(out_pulse), _grow(out_rel)
+                    out_cx, out_re = _grow(out_cx), _grow(out_re)
+                    cap *= 2
+                out_pulse[m] = start_pulse + i
+                out_rel[m] = t_e - t_p
+                out_cx[m] = cx2
+                out_re[m] = True
+                m += 1
+        next_free = t_e
+    return out_pulse[:m], out_rel[:m], out_cx[:m], out_re[:m], next_free
+
+
+def _reference_dead_time_filter(ts, dead_ps):
+    if dead_ps <= 0 or ts.size == 0:
+        return ts
+    keep = np.empty(ts.size, dtype=bool)
+    last = -np.inf
+    tl = ts.tolist()
+    for i, t in enumerate(tl):
+        if t - last >= dead_ps:
+            keep[i] = True
+            last = t
+        else:
+            keep[i] = False
+    return ts[keep]
+
+
+def _run_with(monkeypatch, config, partition):
+    """simulate_pulsed through the given partition function; also returns
+    the dot-free time each partition handed on."""
+    handed_on = []
+
+    def recorded(*args):
+        out = partition(*args)
+        handed_on.append(out[4])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_simulate_partition", recorded)
+        photons, clicks = simulate_pulsed(config)
+    return photons, clicks, handed_on
+
+
+def _hbt(rep_rate, dark_fraction, p_sat, power, n_pulses, seed, tau_slow=None):
+    cfg = _hbt_config(rep_rate, dark_fraction, p_sat, power, 200.0, n_pulses, seed)
+    if tau_slow is not None:
+        cfg = dataclasses.replace(cfg, emitter=dataclasses.replace(cfg.emitter, tau_slow=tau_slow))
+    return cfg
+
+
+def _c4_config(n_pulses):
+    cfg = _single_line(_perfect_chain(paper_device_defaults()))
+    return dataclasses.replace(
+        cfg,
+        excitation=dataclasses.replace(cfg.excitation, rep_rate=5e6,
+                                       recapture_probability_at_sat=0.0),
+        detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=0.0, dead_time=0.0),),
+        duration=n_pulses,
+        rng_seed=210,
+    )
+
+
+EQUIVALENCE_CONFIGS = {
+    "stock_device": paper_device_defaults(),
+    "c4_no_recapture": _c4_config(300_000),
+    "c5b_20mhz_chains": _hbt(20e6, 0.0, 0.40, 1.0, 400_000, 502),
+    "c5c_power_0.1_80mhz": _hbt(80e6, 0.1, 0.40, 0.1, 1_000_000, 505),
+    "all_dark_tau_slow_100_periods": _hbt(20e6, 1.0, 0.40, 1.0, 200_000, 77, tau_slow=5_000.0),
+    "500mhz_power_5_p_sat_1": _hbt(500e6, 0.1, 1.0, 5.0, 200_000, 78),
+    "no_candidates": _hbt(20e6, 0.1, 0.40, 1e-9, 1_000, 79),
+    "slow_emission_across_partition_edge": _hbt(
+        80e6, 1.0, 0.40, 1.0, PARTITION_PULSES + 10, 80, tau_slow=5_000.0),
+}
+
+
+class TestScalarReferenceEquivalence:
+    @pytest.mark.parametrize("name", list(EQUIVALENCE_CONFIGS))
+    def test_columns_next_free_and_clicks_are_identical(self, name, monkeypatch):
+        cfg = EQUIVALENCE_CONFIGS[name]
+        ref = _run_with(monkeypatch, cfg, _reference_partition)
+        new = _run_with(monkeypatch, cfg, engine._simulate_partition)
+        (ref_ph, ref_clicks, ref_free), (ph, clicks, free) = ref, new
+        for col in ("pulse_index", "emission_time", "complex_index", "is_reexcitation"):
+            a, b = getattr(ref_ph, col), getattr(ph, col)
+            assert a.dtype == b.dtype, col
+            np.testing.assert_array_equal(a, b, err_msg=col)
+        assert free == ref_free
+        assert [stream_digest(c) for c in clicks] == [stream_digest(c) for c in ref_clicks]
+
+    def test_cases_reach_what_they_are_named_for(self, monkeypatch):
+        ph, _, _ = _run_with(monkeypatch, EQUIVALENCE_CONFIGS["no_candidates"],
+                             engine._simulate_partition)
+        assert len(ph) == 0
+        cfg = EQUIVALENCE_CONFIGS["slow_emission_across_partition_edge"]
+        _, _, free = _run_with(monkeypatch, cfg, engine._simulate_partition)
+        assert free[0] > PARTITION_PULSES * 1e12 / cfg.excitation.rep_rate
+        ph, _, _ = _run_with(monkeypatch, EQUIVALENCE_CONFIGS["c5b_20mhz_chains"],
+                             engine._simulate_partition)
+        assert ph.is_reexcitation.any()
+
+
+class TestGoldenDigests:
+    """Click digests pinned as literals: an engine change that alters any
+    draw fails here, whatever its statistics."""
+
+    def test_stock_device(self):
+        _, clicks = simulate_pulsed(paper_device_defaults())
+        assert [stream_digest(c) for c in clicks] == [
+            "cfae078d61aac2e07d1e2c781e16f03f86b3d0da373907de5ee49d20b9fc208e",
+            "3feca9a8593a57a51ee1a0cb12a6b57ffc0a3dbcfab4318ea79861921bfac63e",
+        ]
+
+    def test_c5b_device(self):
+        _, clicks = simulate_pulsed(_hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 4_000_000, seed=502))
+        assert [stream_digest(c) for c in clicks] == [
+            "ec989c681dd18216b942c44b8c6dc79708583ff857d09321cc083e491b0ee92e",
+            "4985f903460abe594e30805deecbdc4a19c32b0481d9633f22d9dd79a48ae474",
+        ]
+
+
+class TestDeadTimeFilter:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_walk_with_exactly_equal_gaps(self, seed):
+        # Gaps drawn around the dead time, many exactly equal to it, so the
+        # t - last >= dead_ps boundary decides often.
+        dead = 1_000.0
+        rng = np.random.default_rng(seed)
+        gaps = rng.choice([0, 1, 300, 999, 1_000, 1_001, 1_700, 5_000], size=4_000)
+        ts = np.cumsum(gaps).astype(np.int64)
+        want = _reference_dead_time_filter(ts, dead)
+        got = _dead_time_filter(ts, dead)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.size < ts.size
+
+    @pytest.mark.parametrize("ts, dead", [
+        (np.empty(0, np.int64), 1_000.0),
+        (np.array([42], np.int64), 1_000.0),
+        (np.array([0, 0, 5, 5, 10], np.int64), 0.0),
+        (np.array([0, 0, 5, 5, 10], np.int64), 5.0),
+    ])
+    def test_edge_trains(self, ts, dead):
+        np.testing.assert_array_equal(_dead_time_filter(ts, dead),
+                                      _reference_dead_time_filter(ts, dead))
 
 
 def test_no_unkeyed_rng_anywhere_in_package():

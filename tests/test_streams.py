@@ -1,5 +1,7 @@
 """Click and photon stream containers and their file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,16 @@ class TestBinaryFormat:
         path.write_bytes(raw[:-7])
         with pytest.raises(ValueError):
             read_clicks_binary(path)
+
+
+    def test_timestamp_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "big.pstm"
+        header = struct.pack("<4sHHQ", b"PSTM", 1, 0, 2)
+        path.write_bytes(header + struct.pack("<QQ", 5, 1 << 63))
+        with pytest.raises(ValueError, match="int64"):
+            read_clicks_binary(path)
+        path.write_bytes(header + struct.pack("<QQ", 5, (1 << 63) - 1))
+        assert read_clicks_binary(path).timestamps[-1] == (1 << 63) - 1
 
 
 class TestCsvFormats:

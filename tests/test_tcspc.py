@@ -69,6 +69,14 @@ class TestBuildHistogram:
         long_period = build_decay_histogram(np.array([0.0]), bin_width=100.0, fold=2e5)
         assert long_period.bin_centers[0] == pytest.approx(-2_000.0 + 50.0)
 
+    def test_fold_rejects_a_bin_width_that_does_not_divide_the_period(self):
+        # 50 ns / 300 ps = 166.7 bins: the last bin would be two-thirds empty
+        # and fitted as data.
+        with pytest.raises(ValueError, match=r"300 ps .* 50000 ps"):
+            build_decay_histogram(np.array([100.0]), bin_width=300.0, fold=50_000.0)
+        hist = build_decay_histogram(np.array([100.0]), bin_width=250.0, fold=50_000.0)
+        assert hist.bin_centers.size == 200
+
     def test_accepts_click_stream(self):
         stream = ClickStream(detector_id=0, timestamps=np.array([100, 200, 300]))
         hist = build_decay_histogram(stream, bin_width=100.0)
