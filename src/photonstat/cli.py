@@ -239,7 +239,10 @@ def cmd_analyze_lifetime(args) -> int:
     write_report(run.out("lifetime.json"), "lifetime", fit,
                  input_digest=stream_digest(stream))
     run.finish()
-    print(f"tau_fast = {fit.tau_fast:.4g} ns, tau_slow = {fit.tau_slow:.4g} ns")
+    if fit.model == "single_exponential":
+        print(f"tau = {fit.tau_fast:.4g} ns (single exponential: no second component resolved)")
+    else:
+        print(f"tau_fast = {fit.tau_fast:.4g} ns, tau_slow = {fit.tau_slow:.4g} ns")
     return 0
 
 

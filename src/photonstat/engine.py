@@ -29,8 +29,9 @@ Model per pulse:
    beta * directionality * sideband_pass * transmission (after the spectral
    filter selects in-band complexes), is routed uniformly among detectors,
    survives detector efficiency, gets Gaussian timing jitter
-   (sigma = fwhm / 2.3548), and per-detector streams are then sorted and the
-   detector dead time is applied.
+   (sigma = fwhm / 2.3548).  Within each partition the click times are
+   rounded to whole ps, clamped at 0 and split by detector; each detector's
+   partitions are then concatenated and sorted, and its dead time is applied.
 
 Each partition pre-draws five arrays (excite, complex, dark, delay,
 reservoir) and computes every candidate pulse's outcome with array
@@ -197,8 +198,9 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
 
 
 def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
-    """Chain thinning, routing, detector efficiency, jitter.  Returns
-    (detector index, jittered float times) for the clicks of this batch."""
+    """Chain thinning, routing, detector efficiency, jitter.  Returns one
+    int64 array per detector: the jittered click times of this batch,
+    rounded to whole ps and clamped at 0, in batch order (not sorted)."""
     n = abs_times.size
     u_chain = gen.uniform(n)
     keep = (u_chain < p_chain) & in_band[cx_idx]
@@ -211,7 +213,8 @@ def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
     t2 = t1[keep2]
     det2 = det[keep2]
     z = gen.normal(0.0, 1.0, t2.size)
-    return det2, t2 + z * sigma[det2]
+    ts = np.maximum(np.rint(t2 + z * sigma[det2]), 0).astype(np.int64)
+    return [ts[det2 == d] for d in range(n_det)]
 
 
 def _dead_time_filter(ts: np.ndarray, dead_ps: float) -> np.ndarray:
@@ -239,18 +242,14 @@ def _dead_time_filter(ts: np.ndarray, dead_ps: float) -> np.ndarray:
     return ts[keep]
 
 
-def _assemble_clicks(config: ExperimentConfig, det_parts, time_parts) -> list[ClickStream]:
+def _assemble_clicks(config: ExperimentConfig, parts) -> list[ClickStream]:
+    """One click stream per detector from ``parts``, a list of ``_detect``
+    results (one int64 array per detector per batch): each detector's
+    arrays are concatenated and sorted, then its dead time is applied."""
     digest = config_digest(config)
-    if det_parts:
-        det_all = np.concatenate(det_parts)
-        t_all = np.concatenate(time_parts)
-    else:
-        det_all = np.empty(0, np.int64)
-        t_all = np.empty(0, np.float64)
     streams = []
     for d, spec in enumerate(config.detectors):
-        ts = t_all[det_all == d]
-        ts = np.maximum(np.rint(ts), 0).astype(np.int64)
+        ts = np.concatenate([np.empty(0, np.int64)] + [p[d] for p in parts])
         ts.sort()
         ts = _dead_time_filter(ts, spec.dead_time * 1000.0)
         streams.append(ClickStream(detector_id=d, timestamps=ts, meta=digest))
@@ -278,8 +277,7 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
     sigma = np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors])
     n_det = len(config.detectors)
 
-    pulse_parts, rel_parts, cx_parts, re_parts = [], [], [], []
-    det_parts, time_parts = [], []
+    pulse_parts, rel_parts, cx_parts, re_parts, click_parts = [], [], [], [], []
     next_free = -np.inf
     for start in range(0, n_pulses, PARTITION_PULSES):
         n = min(PARTITION_PULSES, n_pulses - start)
@@ -290,22 +288,23 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
             p_rc, config.excitation.recapture_time, next_free,
         )
         abs_times = pulses * period_ps + rel
-        det, times = _detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det)
+        click_parts.append(_detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det))
         pulse_parts.append(pulses)
         rel_parts.append(rel)
         cx_parts.append(cx)
         re_parts.append(re)
-        det_parts.append(det)
-        time_parts.append(times)
 
-    photons = PhotonStream(
-        pulse_index=np.concatenate(pulse_parts),
-        emission_time=np.concatenate(rel_parts),
-        complex_index=np.concatenate(cx_parts),
-        is_reexcitation=np.concatenate(re_parts),
-        complex_tags=tuple(cx.tag for cx in em.complexes),
-    )
-    return photons, _assemble_clicks(config, det_parts, time_parts)
+    clicks = _assemble_clicks(config, click_parts)
+    # free the click parts, then build the photon columns one at a time,
+    # each freeing its parts before the next, so only one column is ever
+    # held twice
+    del click_parts
+    columns = []
+    for parts in (pulse_parts, rel_parts, cx_parts, re_parts):
+        columns.append(np.concatenate(parts))
+        parts.clear()
+    photons = PhotonStream(*columns, complex_tags=tuple(cx.tag for cx in em.complexes))
+    return photons, clicks
 
 
 def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
@@ -321,7 +320,7 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
     duration_ps = config.duration * 1e12
 
     if config.excitation.power_ratio <= 0:
-        return _assemble_clicks(config, [], [])
+        return _assemble_clicks(config, [])
 
     em = config.emitter
     tau_fast_ps = em.tau_fast * 1000.0
@@ -338,7 +337,7 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
     n_det = len(config.detectors)
 
     gen = rng_substream(config.rng_seed, 0)
-    det_parts, time_parts = [], []
+    parts = []
     t = 0.0
     while t < duration_ps:
         waits = gen.exponential(tau_wait_ps, _CW_CHUNK)
@@ -350,10 +349,8 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         m = int(np.searchsorted(emit, duration_ps))
         if m == 0:
             break
-        det, times = _detect(gen, emit[:m], cx[:m], in_band, p_chain, eff, sigma, n_det)
-        det_parts.append(det)
-        time_parts.append(times)
-    return _assemble_clicks(config, det_parts, time_parts)
+        parts.append(_detect(gen, emit[:m], cx[:m], in_band, p_chain, eff, sigma, n_det))
+    return _assemble_clicks(config, parts)
 
 
 def merge_background(stream: ClickStream, dark_rate: float, config: ExperimentConfig) -> ClickStream:

@@ -144,7 +144,7 @@ def read_clicks_binary(path) -> ClickStream:
     magic, version, detector_id, count = _HEADER.unpack_from(raw)
     if magic != STREAM_MAGIC:
         raise ValueError(f"{path}: not a click-stream file (bad magic {magic!r})")
-    if version > STREAM_VERSION:
+    if version != STREAM_VERSION:
         raise ValueError(f"{path}: unsupported click-stream version {version}")
     payload = raw[_HEADER.size :]
     if len(payload) != 8 * count:

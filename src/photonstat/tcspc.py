@@ -59,7 +59,9 @@ class DecayFit:
     """Bi-exponential decay fit. Lifetimes in ns, amplitudes in counts per
     bin at the fit start, slow_fraction is the slow share of the fitted
     signal counts (excluding background).  reduced_chi_square is the weighted
-    residual statistic per degree of freedom."""
+    residual statistic per degree of freedom.  model is "biexponential", or
+    "single_exponential" when the two components could not be resolved: then
+    tau_slow equals tau_fast and amplitude_slow is 0."""
 
     tau_fast: float
     tau_slow: float
@@ -71,6 +73,7 @@ class DecayFit:
     fit_start: float
     reduced_chi_square: float
     message: str
+    model: str
 
     @property
     def slow_fraction(self) -> float:
@@ -189,7 +192,9 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
     histogram peak unless fit_start (ps) says otherwise; starting past the
     peak keeps instrument-response distortion out of the lifetime estimate.
     Raises ValueError below min_counts; an iteration-capped fit comes back
-    with converged=False rather than raising.
+    with converged=False rather than raising.  When the two components are
+    not separable, a single exponential is fitted instead and the result
+    says so in its model field.
     """
     if hist.total_counts < min_counts:
         raise ValueError(
@@ -298,6 +303,7 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
             order = [2, 3, 0, 1, 4]
             cov = cov[np.ix_(order, order)]
         n_params = 5
+        model = "biexponential"
     else:
         # Components are not separable (or the full model is degenerate):
         # report a single exponential with zero slow amplitude.
@@ -316,6 +322,7 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
         cov = np.zeros((5, 5))
         cov[np.ix_([0, 1, 4], [0, 1, 4])] = result.covariance
         n_params = 3
+        model = "single_exponential"
     # ps -> ns for the lifetime entries
     scale = np.array([1.0, 1e-3, 1.0, 1e-3, 1.0])
     cov = cov * np.outer(scale, scale)
@@ -330,6 +337,7 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
         fit_start=fit_start,
         reduced_chi_square=result.residual_norm**2 / max(t.size - n_params, 1),
         message=result.message,
+        model=model,
     )
     if not result.converged:
         raise DecayFitError(f"decay fit did not converge: {result.message}", fit)

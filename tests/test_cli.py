@@ -3,16 +3,21 @@ and the out-dir write boundary."""
 
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from photonstat.cli import main
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
 from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_saturation_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
+from photonstat.streams import ClickStream, write_clicks_binary
 from photonstat.report import write_profile_csv
 
 
@@ -157,7 +162,7 @@ class TestAnalyze:
         main(["simulate", "--config", str(config_path), "--out-dir", str(out)])
         return out
 
-    def test_lifetime_report(self, tmp_path, sim_dir):
+    def test_lifetime_report(self, tmp_path, sim_dir, capsys):
         out = tmp_path / "life"
         rc = main([
             "analyze", "lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
@@ -167,8 +172,27 @@ class TestAnalyze:
         report = read_report(out / "lifetime.json")
         assert report["kind"] == "lifetime"
         assert 1.0 < report["payload"]["tau_fast"] < 2.0
+        assert report["payload"]["model"] == "biexponential"
+        assert "tau_slow = " in capsys.readouterr().out
         assert (out / "decay.csv").exists()
         assert (out / "decay_fit.csv").exists()
+
+    def test_single_exponential_lifetime_prints_one_tau(self, tmp_path, capsys):
+        # 100k pulses at 20 MHz, one 1.5 ns decay per pulse: no slow tail
+        g = np.random.default_rng(5)
+        ts = np.sort(np.arange(100_000) * 50_000 + np.rint(g.exponential(1_500.0, 100_000)))
+        write_clicks_binary(tmp_path / "single.pstm",
+                            ClickStream(detector_id=0, timestamps=ts.astype(np.int64)))
+        out = tmp_path / "life"
+        rc = main(["analyze", "lifetime", "--input", str(tmp_path / "single.pstm"),
+                   "--out-dir", str(out), "--rep-rate", "20e6"])
+        assert rc == 0
+        payload = read_report(out / "lifetime.json")["payload"]
+        assert payload["model"] == "single_exponential"
+        assert payload["tau_fast"] == pytest.approx(1.5, rel=0.02)
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"tau = {payload['tau_fast']:.4g} ns (single exponential")
+        assert "tau_slow" not in printed
 
     def test_decay_fit_curve_is_referenced_to_fit_start(self, tmp_path, sim_dir):
         out = tmp_path / "life"
@@ -291,6 +315,32 @@ class TestAnalyze:
         rc = main(["analyze", "lifetime", "--input", str(tmp_path / "no.pstm"),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+
+_VALID_PSTM = struct.pack("<4sHHQ", b"PSTM", 1, 0, 3) + struct.pack("<3Q", 10, 20, 30)
+
+
+def _flip(pos, mask):
+    raw = bytearray(_VALID_PSTM)
+    raw[pos] ^= mask
+    return bytes(raw)
+
+
+@settings(max_examples=25)
+@example(_flip(4, 1))  # version 0
+@given(st.one_of(
+    st.integers(0, len(_VALID_PSTM) - 1).map(lambda cut: _VALID_PSTM[:cut]),
+    # any header byte but the two of detector_id
+    st.builds(_flip, st.sampled_from([i for i in range(16) if i not in (6, 7)]),
+              st.integers(1, 255)),
+))
+def test_truncated_or_re_headed_pstm_is_exit_2(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "bad.pstm"
+        path.write_bytes(raw)
+        rc = main(["analyze", "lifetime", "--input", str(path),
+                   "--out-dir", str(Path(d) / "life"), "--rep-rate", "20e6"])
+    assert rc == 2
 
 
 class TestReproduce:

@@ -1,9 +1,12 @@
 """Click and photon stream containers and their file formats."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from photonstat.model import ChargeTag
 from photonstat.streams import (
@@ -96,6 +99,63 @@ class TestBinaryFormat:
             read_clicks_binary(path)
         path.write_bytes(header + struct.pack("<QQ", 5, (1 << 63) - 1))
         assert read_clicks_binary(path).timestamps[-1] == (1 << 63) - 1
+
+
+_TIMESTAMPS = st.lists(st.integers(0, 2**63 - 1), max_size=40).map(sorted)
+_DETECTOR_IDS = st.integers(0, 2**16 - 1)
+# every header byte except the two of detector_id, which takes any value
+_CHECKED_HEADER_BYTES = [i for i in range(16) if i not in (6, 7)]
+
+
+def _written(ts, detector_id) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.pstm"
+        write_clicks_binary(path, ClickStream(detector_id, np.array(ts, dtype=np.int64)))
+        return path.read_bytes()
+
+
+def _read(raw: bytes) -> ClickStream:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.pstm"
+        path.write_bytes(raw)
+        return read_clicks_binary(path)
+
+
+class TestBinaryFormatProperties:
+    @given(_TIMESTAMPS, _DETECTOR_IDS)
+    def test_sorted_non_negative_int64_roundtrip_exactly(self, ts, detector_id):
+        back = _read(_written(ts, detector_id))
+        assert back.detector_id == detector_id
+        assert back.timestamps.dtype == np.int64
+        assert back.timestamps.tolist() == ts
+
+    @given(_TIMESTAMPS, st.data())
+    def test_truncated_file_is_value_error(self, ts, data):
+        raw = _written(ts, 0)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ValueError):
+            _read(raw[:cut])
+
+    @given(_TIMESTAMPS, st.sampled_from(_CHECKED_HEADER_BYTES), st.integers(1, 255))
+    @example([1, 2], 4, 1)  # version 0
+    def test_re_headed_file_is_value_error(self, ts, pos, mask):
+        raw = bytearray(_written(ts, 0))
+        raw[pos] ^= mask
+        with pytest.raises(ValueError):
+            _read(bytes(raw))
+
+    @given(_TIMESTAMPS.filter(len), st.data())
+    def test_flipped_byte_reads_a_valid_stream_or_is_value_error(self, ts, data):
+        raw = bytearray(_written(ts, 0))
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        try:
+            back = _read(bytes(raw))
+        except ValueError:
+            return
+        # a flip the format cannot detect still yields a valid stream
+        t = back.timestamps
+        assert t.dtype == np.int64 and len(t) == len(ts)
+        assert (t >= 0).all() and (np.diff(t) >= 0).all()
 
 
 class TestCsvFormats:

@@ -94,6 +94,7 @@ class TestBiexponentialFit:
         hist = build_decay_histogram(t, bin_width=100.0, window=200_000.0)
         fit = fit_biexponential(hist)
         assert fit.converged
+        assert fit.model == "biexponential"
         assert fit.tau_fast == pytest.approx(1.5, rel=0.01)
         assert fit.tau_slow == pytest.approx(30.0, rel=0.02)
         # amplitudes are referenced at fit_start, so the slow share there is
@@ -125,6 +126,14 @@ class TestBiexponentialFit:
             hist = build_decay_histogram(t, bin_width=100.0, window=200_000.0)
             taus.append(fit_biexponential(hist).tau_fast)
         assert np.mean(taus) == pytest.approx(1.5, rel=0.02)
+
+    def test_single_exponential_fallback_is_reported(self):
+        t = _biexp_events(200_000, 1500.0, 30_000.0, 0.0, seed=41)
+        fit = fit_biexponential(build_decay_histogram(t, bin_width=100.0, window=100_000.0))
+        assert fit.model == "single_exponential"
+        assert fit.tau_fast == pytest.approx(1.5, rel=0.02)
+        assert fit.tau_slow == fit.tau_fast
+        assert fit.amplitude_slow == 0.0
 
     def test_background_floor_recovered(self):
         g = rng_substream(23, 0)
