@@ -35,6 +35,7 @@ from .photometry import build_efficiency_report, fit_saturation
 from .report import (
     atomic_write,
     atomic_write_text,
+    jsonable,
     read_array_csvs,
     read_profile_csv,
     read_saturation_csv,
@@ -236,7 +237,9 @@ def cmd_analyze_lifetime(args) -> int:
         + fit.background
     )
     write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), t, model)
-    write_report(run.out("lifetime.json"), "lifetime", fit,
+    # the fold may narrow the requested bin width so whole bins tile the period
+    write_report(run.out("lifetime.json"), "lifetime",
+                 {**jsonable(fit), "bin_width_ps": hist.bin_width},
                  input_digest=stream_digest(stream))
     run.finish()
     if fit.model == "single_exponential":
@@ -405,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     life = ana_sub.add_parser("lifetime", help="bi-exponential decay fit")
     life.add_argument("--input", required=True, help="click stream (.pstm or .csv)")
     life.add_argument("--out-dir", required=True)
-    life.add_argument("--bin-width", type=float, default=100.0, help="histogram bin, ps")
+    life.add_argument("--bin-width", type=float, default=100.0,
+                      help="histogram bin, ps; with --rep-rate, the nearest width that "
+                           "tiles the period in whole bins")
     life.add_argument("--rep-rate", type=float, default=None,
                       help="pulse rate in Hz; folds timestamps into one period")
     life.add_argument("--fit-start", type=float, default=None, help="fit window start, ps")

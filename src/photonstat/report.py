@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .numerics import RNG_ALGORITHM
 from .spectral import ArraySpectrumSet, LineProfile
+from .streams import _CSV_BATCH
 
 __all__ = [
     "atomic_write",
@@ -109,14 +110,16 @@ def read_report(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV surfaces.  Floats are written with repr so they round-trip exactly and
-# rerun output is byte-stable.
+# CSV surfaces.  Integer columns are written as integers and every other
+# column as the repr of its float64 value (so a bool reads 1.0): that repr is
+# the shortest string that parses back to the same bits, so floats round-trip
+# exactly and rerun output is byte-stable.
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _csv_strings(column: np.ndarray):
+    if column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(float.__repr__, column.astype(np.float64).tolist())
 
 
 def write_xy_csv(path, header: tuple[str, str], x, y) -> Path:
@@ -124,9 +127,15 @@ def write_xy_csv(path, header: tuple[str, str], x, y) -> Path:
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional and equal length")
-    lines = [",".join(header)]
-    lines.extend(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(x, y))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for s in range(0, x.size, _CSV_BATCH):
+                rows = zip(_csv_strings(x[s:s + _CSV_BATCH]), _csv_strings(y[s:s + _CSV_BATCH]))
+                fh.write("".join([f"{a},{b}\n" for a, b in rows]))
+
+    return atomic_write(path, write)
 
 
 def read_xy_csv(path, expected_header: tuple[str, str] | None = None):

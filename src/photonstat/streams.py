@@ -40,6 +40,10 @@ __all__ = [
 STREAM_MAGIC = b"PSTM"
 STREAM_VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
+_PHOTON_HEADER = "pulse_index,time_ps,complex,is_reexcitation"
+# Rows per write of the CSV writers: large enough that per-write overhead
+# vanishes, small enough that the text of one batch stays a few hundred kB.
+_CSV_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -125,16 +129,22 @@ class ClickStream:
         return int(self.timestamps.size)
 
 
-def _stream_bytes(stream: ClickStream) -> bytes:
+def _serialized(stream: ClickStream) -> tuple[bytes, np.ndarray]:
+    """The binary header and the payload as a little-endian u8 view of the
+    timestamps, so that writing or hashing never copies the payload."""
     ts = stream.timestamps
     if ts.size and ts[0] < 0:
         raise ValueError("negative timestamps cannot be serialized")
     header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, stream.detector_id, ts.size)
-    return header + ts.astype("<u8").tobytes()
+    # non-negative <i8 and <u8 share their bytes
+    return header, np.ascontiguousarray(ts, dtype="<i8").view("<u8")
 
 
 def write_clicks_binary(path, stream: ClickStream) -> None:
-    Path(path).write_bytes(_stream_bytes(stream))
+    header, payload = _serialized(stream)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_clicks_binary(path) -> ClickStream:
@@ -162,16 +172,20 @@ def read_clicks_csv(path, detector_id: int = 0) -> ClickStream:
 
 
 def write_photons_csv(path, photons: PhotonStream) -> None:
+    # the text after the time, indexed by 2 * complex_index + is_reexcitation
+    tails = [f",{t.value},{r}\n" for t in photons.complex_tags for r in (0, 1)]
     with open(path, "w") as fh:
-        fh.write("pulse_index,time_ps,complex,is_reexcitation\n")
-        tags = [t.value for t in photons.complex_tags]
-        # repr of a plain float is the shortest string that parses back to
-        # the same bits, so the file round-trips exactly
-        for i in range(len(photons)):
-            fh.write(
-                f"{photons.pulse_index[i]},{float(photons.emission_time[i])!r},"
-                f"{tags[photons.complex_index[i]]},{int(photons.is_reexcitation[i])}\n"
-            )
+        fh.write(_PHOTON_HEADER + "\n")
+        # Plain Python scalars from .tolist(): repr of a float is the
+        # shortest string that parses back to the same bits, so the file
+        # round-trips exactly.  Batches bound the text held at once.
+        for s in range(0, len(photons), _CSV_BATCH):
+            e = s + _CSV_BATCH
+            tail_index = (2 * photons.complex_index[s:e].astype(np.int64)
+                          + photons.is_reexcitation[s:e])
+            rows = zip(photons.pulse_index[s:e].tolist(), photons.emission_time[s:e].tolist(),
+                       tail_index.tolist())
+            fh.write("".join([f"{p},{t!r}{tails[k]}" for p, t, k in rows]))
 
 
 def read_photons_csv(path) -> PhotonStream:
@@ -181,7 +195,7 @@ def read_photons_csv(path) -> PhotonStream:
     reex: list[bool] = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "pulse_index,time_ps,complex,is_reexcitation":
+        if header != _PHOTON_HEADER:
             raise ValueError(f"{path}: unexpected photon CSV header {header!r}")
         for line in fh:
             line = line.strip()
@@ -205,4 +219,7 @@ def read_photons_csv(path) -> PhotonStream:
 
 def stream_digest(stream: ClickStream) -> str:
     """SHA-256 over the binary serialization, used as report provenance."""
-    return hashlib.sha256(_stream_bytes(stream)).hexdigest()
+    header, payload = _serialized(stream)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    return digest.hexdigest()

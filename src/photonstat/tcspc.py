@@ -40,6 +40,8 @@ _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 # would read them as a rising tail.
 _FOLD_PRE_TRIGGER = 2_000.0
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class DecayHistogram:
@@ -131,13 +133,17 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     events may be a PhotonStream (pulse-relative emission times are used
     directly), a ClickStream, or a plain array of times.  fold wraps times
     modulo a pulse period before binning, which is how absolute click times
-    become pulse-relative; bin_width must divide it.  Folded times span [-pre, fold - pre), with pre
-    a 2 ns pre-trigger span capped at a tenth of the period and rounded
-    down to whole bins, so t = 0 (the pulse) stays on a bin edge and clicks
-    that jitter ahead of their pulse land at negative times.  window is the
-    histogram span from its first edge (-pre when folding, else 0) and
-    defaults to the folded period or the latest event.  Empty input
-    produces an empty histogram, which the fit rejects later.
+    become pulse-relative.  The period is then cut into
+    n = round(fold / bin_width) bins of width fold / n, so whole bins tile
+    any period, also one that is not a whole number of ps, and the
+    histogram's bin_width is the width used.  Folded times span
+    [-pre, fold - pre), with pre a 2 ns pre-trigger span capped at a tenth
+    of the period and rounded down to whole bins, so t = 0 (the pulse)
+    stays on a bin edge and clicks that jitter ahead of their pulse land at
+    negative times.  window is the histogram span from its first edge (-pre
+    when folding, else 0) and defaults to the folded period or the latest
+    event.  Empty input produces an empty histogram, which the fit rejects
+    later.
     """
     if isinstance(events, PhotonStream):
         times = np.asarray(events.emission_time, dtype=np.float64)
@@ -151,21 +157,21 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     if fold is not None:
         if fold <= 0:
             raise ValueError("fold period must be > 0")
-        n_fold = fold / bin_width
-        if abs(n_fold - round(n_fold)) > 1e-9 * n_fold:
-            raise ValueError(f"bin width {bin_width:g} ps does not divide the fold period "
-                             f"{fold:g} ps, so the last bin would be partly empty")
+        n_fold = round(fold / bin_width)
+        if n_fold < 1:
+            raise ValueError(f"bin width {bin_width:g} ps leaves no whole bin in the fold "
+                             f"period {fold:g} ps")
+        bin_width = fold / n_fold
         pre = math.floor(min(_FOLD_PRE_TRIGGER, 0.1 * fold) / bin_width) * bin_width
         times = np.mod(times + pre, fold) - pre
-    if window is None:
-        if fold is not None:
-            window = fold
-        elif times.size:
-            window = float(times.max()) + bin_width
-        else:
-            window = bin_width
-    n_bins = max(int(math.ceil(window / bin_width)), 1)
-    counts, edges = np.histogram(times, bins=n_bins, range=(-pre, n_bins * bin_width - pre))
+    if window is None and fold is not None:
+        n_bins, hi_edge = n_fold, fold - pre
+    else:
+        if window is None:
+            window = float(times.max()) + bin_width if times.size else bin_width
+        n_bins = max(int(math.ceil(window / bin_width)), 1)
+        hi_edge = n_bins * bin_width - pre
+    counts, edges = np.histogram(times, bins=n_bins, range=(-pre, hi_edge))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayHistogram(bin_centers=centers, counts=counts.astype(np.int64), bin_width=bin_width)
 
@@ -364,8 +370,11 @@ def correlate(start, stop, bin_width: float, window: float,
     Every pair within the window is counted (full pair correlation, not
     first-stop), which keeps long-delay side peaks unbiased at high rates.
     The sweep is sorted two-pointer style, so cost scales with clicks times
-    the mean occupancy of the window, never with all pairs.  rep_period
-    (ps) tags pulsed data and enables the peak-area metrics downstream.
+    the mean occupancy of the window, never with all pairs.  Window edges
+    and delays are computed on the integer timestamps, so each delay is
+    exact for any int64 timestamps and is rounded to float only to be
+    binned.  rep_period (ps) tags pulsed data and enables the peak-area
+    metrics downstream.
     """
     a = _timestamps(start)
     b = _timestamps(stop)
@@ -376,19 +385,25 @@ def correlate(start, stop, bin_width: float, window: float,
     half = int(math.floor(window / bin_width))
     n_bins = 2 * half + 1
     counts = np.zeros(n_bins, dtype=np.int64)
-    lo_bound = -(half + 0.5) * bin_width
-    hi_bound = (half + 0.5) * bin_width
+    # integer bounds: the pair (a, b) is in the window iff lo_off <= b - a < hi_off
+    lo_off = math.ceil(-(half + 0.5) * bin_width)
+    hi_off = math.ceil((half + 0.5) * bin_width)
+    if hi_off > _INT64.max:
+        raise ValueError("window exceeds the int64 timestamp range")
     for s in range(0, a.size, chunk):
         a_c = a[s:s + chunk]
-        lo = np.searchsorted(b, a_c + lo_bound, side="left")
-        hi = np.searchsorted(b, a_c + hi_bound, side="left")
+        # The search keys saturate at the int64 limits instead of wrapping;
+        # a saturated key selects the same stops as the exact one would.
+        lo = np.searchsorted(b, np.maximum(a_c, _INT64.min - lo_off) + lo_off, side="left")
+        hi = np.searchsorted(b, np.minimum(a_c, _INT64.max - (hi_off - 1)) + (hi_off - 1),
+                             side="right")
         reps = hi - lo
         m = int(reps.sum())
         if m == 0:
             continue
-        starts = np.repeat(lo, reps)
-        offsets = np.arange(m) - np.repeat(np.cumsum(reps) - reps, reps)
-        d = b[starts + offsets].astype(np.float64) - np.repeat(a_c, reps).astype(np.float64)
+        # the stops of start i are b[lo[i]:hi[i]], laid end to end
+        idx = np.repeat(lo - (np.cumsum(reps) - reps), reps) + np.arange(m)
+        d = (b[idx] - np.repeat(a_c, reps)).astype(np.float64)
         k = np.floor(d / bin_width + 0.5).astype(np.int64) + half
         k = k[(k >= 0) & (k < n_bins)]
         counts += np.bincount(k, minlength=n_bins)

@@ -2,6 +2,7 @@
 and the out-dir write boundary."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 import subprocess
@@ -17,7 +18,7 @@ from photonstat.cli import main
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
 from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_saturation_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
-from photonstat.streams import ClickStream, write_clicks_binary
+from photonstat.streams import ClickStream, read_clicks_binary, write_clicks_binary
 from photonstat.report import write_profile_csv
 
 
@@ -173,6 +174,7 @@ class TestAnalyze:
         assert report["kind"] == "lifetime"
         assert 1.0 < report["payload"]["tau_fast"] < 2.0
         assert report["payload"]["model"] == "biexponential"
+        assert report["payload"]["bin_width_ps"] == 100.0
         assert "tau_slow = " in capsys.readouterr().out
         assert (out / "decay.csv").exists()
         assert (out / "decay_fit.csv").exists()
@@ -220,6 +222,24 @@ class TestAnalyze:
         purity = report["payload"]["purity"]
         assert 0.0 <= purity["g2_zero"] < 0.5
         assert (out / "g2.csv").exists()
+
+    def test_csv_outputs_match_golden_digests(self, tmp_path, sim_dir):
+        # recorded from the per-row CSV writers and the float64 correlate
+        # that the column-wise writers and the integer correlate replaced
+        for args in (["lifetime", "--out-dir", str(tmp_path / "life")],
+                     ["g2", "--input2", str(sim_dir / "clicks_det1.pstm"),
+                      "--out-dir", str(tmp_path / "g2")]):
+            assert main(["analyze", args[0], "--input", str(sim_dir / "clicks_det0.pstm"),
+                         *args[1:], "--rep-rate", "20e6"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("g2/g2.csv", "life/decay.csv", "life/decay_fit.csv")}
+        digests["photons.csv"] = hashlib.sha256((sim_dir / "photons.csv").read_bytes()).hexdigest()
+        assert digests == {
+            "g2/g2.csv": "9ca170aba1d9f3249b3d5716e1b0c906757bae36c72c88931c9038db8cc8f7b1",
+            "life/decay.csv": "301437599619f3efb4e86ca96cf2ab2d5676a6ccd4350a1568ccd25ac17c9bd4",
+            "life/decay_fit.csv": "dbbc2b9bfe5b062b4372e7895169427b2eada90f7e0a2e80fdb027ac13bd4f41",
+            "photons.csv": "a8b72f2c12437572f4eec2531ef596f4a27a8d06ee3f5430d749412fa78af7d5",
+        }
 
     def test_g2_without_recapture_is_pure(self, tmp_path, config_path):
         # Without re-excitation each pulse yields at most one photon, so the
@@ -303,13 +323,45 @@ class TestAnalyze:
         assert payload["collection_efficiency"] == pytest.approx(0.66, abs=5e-3)
         assert payload["inconsistent"] is False
 
-    def test_fold_bin_width_not_dividing_the_period_is_exit_2(self, tmp_path, sim_dir, capsys):
+    def test_fold_bin_width_not_dividing_the_period_is_narrowed(self, tmp_path, sim_dir, capsys):
+        # 50 ns / 300 ps = 166.7: the fold uses 167 bins of 50000/167 ps
+        out = tmp_path / "life"
         rc = main([
             "analyze", "lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
-            "--out-dir", str(tmp_path / "life"), "--rep-rate", "20e6", "--bin-width", "300",
+            "--out-dir", str(out), "--rep-rate", "20e6", "--bin-width", "300",
+        ])
+        assert rc == 0
+        assert read_report(out / "lifetime.json")["payload"]["bin_width_ps"] == 50_000.0 / 167
+        t, counts = read_xy_csv(out / "decay.csv", expected_header=("time_ps", "counts"))
+        assert t.size == 167
+        assert counts.sum() == len(read_clicks_binary(sim_dir / "clicks_det0.pstm"))
+        rc = main([
+            "analyze", "lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
+            "--out-dir", str(tmp_path / "wide"), "--rep-rate", "20e6", "--bin-width", "200000",
         ])
         assert rc == 2
-        assert "does not divide" in capsys.readouterr().err
+        assert "no whole bin" in capsys.readouterr().err
+
+    def test_fold_of_a_simulated_76_mhz_run(self, tmp_path, config_path, capsys):
+        # the Ti:sapphire rate: a 13157.89 ps period, not a whole number of ps
+        cfg = config_from_json(config_path.read_text())
+        cfg = dataclasses.replace(
+            cfg, excitation=dataclasses.replace(cfg.excitation, rep_rate=76e6))
+        config_path.write_text(config_to_json(cfg))
+        main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "sim")])
+        clicks = tmp_path / "sim" / "clicks_det0.pstm"
+        out = tmp_path / "life"
+        rc = main(["analyze", "lifetime", "--input", str(clicks), "--out-dir", str(out),
+                   "--rep-rate", "76e6"])
+        assert rc == 0, capsys.readouterr().err
+        period = 1e12 / 76e6
+        payload = read_report(out / "lifetime.json")["payload"]
+        assert payload["bin_width_ps"] == period / 132
+        t, counts = read_xy_csv(out / "decay.csv", expected_header=("time_ps", "counts"))
+        assert t.size == 132
+        assert t[-1] + 0.5 * payload["bin_width_ps"] == pytest.approx(period - 13 * period / 132)
+        assert counts.sum() == len(read_clicks_binary(clicks))
+        assert payload["tau_fast"] == pytest.approx(1.5, rel=0.1)
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         rc = main(["analyze", "lifetime", "--input", str(tmp_path / "no.pstm"),

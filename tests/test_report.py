@@ -126,6 +126,40 @@ class TestCsv:
         np.testing.assert_array_equal(back[:, 0], x)
         np.testing.assert_array_equal(back[:, 1], y)
 
+    def test_columns_are_formatted_by_the_per_value_rule(self, tmp_path):
+        # The rule of the per-value writer the column-wise one replaced: an
+        # integer as an integer, anything else as the repr of its float.
+        def fmt(v):
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return repr(float(v))
+
+        g = np.random.default_rng(3)
+        n = 2 * 8192 + 1  # crosses the writer's row batches, one row into the third
+        columns = {
+            "int64": g.integers(-10**15, 10**15, n),
+            "float64": g.normal(0.0, 1e6, n),
+            "float32": g.normal(0.0, 1e3, n).astype(np.float32),
+            "bool": g.uniform(size=n) < 0.5,
+            "list": [int(v) for v in g.integers(0, 1000, n)],
+            "float_list": g.uniform(size=n).tolist(),
+        }
+        names = list(columns)
+        for name, yname in zip(names, names[1:] + names[:1]):  # each kind as x and as y
+            x, y = columns[name], columns[yname]
+            path = tmp_path / f"{name}_{yname}.csv"
+            write_xy_csv(path, (name, yname), x, y)
+            expected = [f"{name},{yname}"] + [
+                f"{fmt(a)},{fmt(b)}" for a, b in zip(np.asarray(x), np.asarray(y))] + [""]
+            got = path.read_text().split("\n")
+            assert len(got) == len(expected)
+            assert [(g, e) for g, e in zip(got, expected) if g != e][:3] == []
+
+    def test_empty_columns_write_the_header_only(self, tmp_path):
+        path = tmp_path / "xy.csv"
+        write_xy_csv(path, ("a", "b"), [], [])
+        assert path.read_text() == "a,b\n"
+
     def test_saturation_roundtrip(self, tmp_path):
         path = tmp_path / "sat.csv"
         pts = [(0.1, 100.0), (0.5, 400.5), (2.0, 900.25)]

@@ -1,5 +1,7 @@
 """Click and photon stream containers and their file formats."""
 
+import dataclasses
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from photonstat.model import ChargeTag
+from photonstat.engine import simulate_pulsed
+from photonstat.model import ChargeTag, paper_device_defaults
 from photonstat.streams import (
     ClickStream,
     PhotonStream,
@@ -174,6 +177,24 @@ class TestCsvFormats:
         np.testing.assert_array_equal(back.is_reexcitation, photons.is_reexcitation)
         assert [r.complex_tag for r in back] == [r.complex_tag for r in photons]
 
+    def test_stock_photons_golden_digest(self, tmp_path):
+        # 114,119 rows, so the writer crosses many of its row batches;
+        # digest recorded from the per-row writer this one replaced
+        photons, _ = simulate_pulsed(dataclasses.replace(paper_device_defaults(),
+                                                         duration=200_000))
+        path = tmp_path / "photons.csv"
+        write_photons_csv(path, photons)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cec02604379b249f034a68124fb1e21e95a27035990b5e062b3607860f01a545")
+
+    def test_empty_photon_stream_writes_the_header_only(self, tmp_path):
+        path = tmp_path / "photons.csv"
+        write_photons_csv(path, PhotonStream([], [], [], [], ()))
+        assert path.read_text() == "pulse_index,time_ps,complex,is_reexcitation\n"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "10ecb75a86f4f4a197cff857b4d0634623e84fde3d6123b02517cf1dcef096c4")
+        assert len(read_photons_csv(path)) == 0
+
 
 class TestPhotonStream:
     def test_column_length_mismatch_rejected(self):
@@ -209,3 +230,13 @@ class TestDigest:
         path = tmp_path / "a.pstm"
         write_clicks_binary(path, clicks)
         assert stream_digest(read_clicks_binary(path)) == stream_digest(clicks)
+
+    def test_is_the_sha256_of_the_written_file(self, clicks, tmp_path):
+        strided = ClickStream(detector_id=2, timestamps=clicks.timestamps[::3])
+        assert not strided.timestamps.flags.c_contiguous
+        empty = ClickStream(detector_id=0, timestamps=np.array([], dtype=np.int64))
+        for stream in (clicks, strided, empty):
+            path = tmp_path / "a.pstm"
+            write_clicks_binary(path, stream)
+            assert stream_digest(stream) == hashlib.sha256(path.read_bytes()).hexdigest()
+            np.testing.assert_array_equal(read_clicks_binary(path).timestamps, stream.timestamps)

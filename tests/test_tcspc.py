@@ -5,9 +5,11 @@ substreams, so every recovery target is the injected truth.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonstat.engine import simulate_pulsed
 from photonstat.model import ChargeComplex, ChargeTag, DetectorSpec, paper_device_defaults
@@ -23,6 +25,7 @@ from photonstat.tcspc import (
     fit_dip_time,
     purity_from_histogram,
 )
+from photonstat.tcspc import _timestamps
 
 
 def _biexp_events(n, tau_fast_ps, tau_slow_ps, slow_fraction, seed):
@@ -69,13 +72,40 @@ class TestBuildHistogram:
         long_period = build_decay_histogram(np.array([0.0]), bin_width=100.0, fold=2e5)
         assert long_period.bin_centers[0] == pytest.approx(-2_000.0 + 50.0)
 
-    def test_fold_rejects_a_bin_width_that_does_not_divide_the_period(self):
-        # 50 ns / 300 ps = 166.7 bins: the last bin would be two-thirds empty
-        # and fitted as data.
-        with pytest.raises(ValueError, match=r"300 ps .* 50000 ps"):
-            build_decay_histogram(np.array([100.0]), bin_width=300.0, fold=50_000.0)
-        hist = build_decay_histogram(np.array([100.0]), bin_width=250.0, fold=50_000.0)
-        assert hist.bin_centers.size == 200
+    def test_fold_tiles_the_period_with_whole_bins(self):
+        # 50 ns / 300 ps = 166.7 bins: the period is cut into 167 bins of
+        # 50000/167 ps, so no partly empty last bin is fitted as data
+        flat = np.arange(1_000_000) * 0.05
+        hist = build_decay_histogram(flat, bin_width=300.0, fold=50_000.0)
+        assert hist.bin_width == 50_000.0 / 167
+        assert hist.bin_centers.size == 167
+        assert hist.total_counts == flat.size
+        assert hist.counts.min() >= 0.99 * hist.counts.max()
+        assert build_decay_histogram(np.array([100.0]), bin_width=250.0,
+                                     fold=50_000.0).bin_centers.size == 200
+        # 76 MHz: a 13157.89 ps period takes 132 bins of 99.68 ps, 13 of
+        # them before the pulse; a click just short of the last edge stays in
+        period = 1e12 / 76e6
+        last_edge = period - 13 * period / 132
+        hist = build_decay_histogram(np.array([0.0, last_edge - 1e-3]), bin_width=100.0,
+                                     fold=period)
+        assert (hist.bin_width, hist.bin_centers.size) == (period / 132, 132)
+        assert hist.counts[-1] == 1
+        assert hist.bin_centers[-1] + 0.5 * hist.bin_width == pytest.approx(last_edge)
+
+    @pytest.mark.parametrize("rep_rate", [5e6, 20e6, 80e6])
+    def test_fold_keeps_a_bin_width_that_divides_the_period(self, rep_rate):
+        period = 1e12 / rep_rate
+        hist = build_decay_histogram(np.array([100.0]), bin_width=100.0, fold=period)
+        assert hist.bin_width == 100.0
+        assert hist.bin_centers.size == period / 100.0
+
+    def test_fold_rejects_a_bin_of_twice_the_period_or_more(self):
+        # round(0.5) is 0: no whole bin fits
+        with pytest.raises(ValueError, match=r"100000 ps .* 50000 ps"):
+            build_decay_histogram(np.array([100.0]), bin_width=100_000.0, fold=50_000.0)
+        assert build_decay_histogram(np.array([100.0]), bin_width=90_000.0,
+                                     fold=50_000.0).bin_centers.size == 1
 
     def test_accepts_click_stream(self):
         stream = ClickStream(detector_id=0, timestamps=np.array([100, 200, 300]))
@@ -265,6 +295,95 @@ class TestCorrelate:
     def test_window_narrower_than_bin_rejected(self):
         with pytest.raises(ValueError, match="window"):
             correlate(np.array([1]), np.array([2]), bin_width=100.0, window=10.0)
+
+    @pytest.mark.parametrize("window, delay_bin", [(1_000.0, 100.0), (100.0, 100.0)])
+    def test_delays_past_2_53_ps_are_exact(self, window, delay_bin):
+        # a 130 ps delay at 2^60 ps: float64 timestamps there are 256 ps
+        # apart, so subtracting them read the delay as 256 ps and binned
+        # it at +300 ps, or dropped it from a one-bin window
+        a = np.array([2**60], dtype=np.int64)
+        b = np.array([2**60 + 130], dtype=np.int64)
+        hist = correlate(a, b, bin_width=100.0, window=window)
+        np.testing.assert_array_equal(hist.counts, _all_pairs(a, b, 100.0, window))
+        assert hist.counts.sum() == 1
+        assert hist.delays[np.argmax(hist.counts)] == delay_bin
+
+    def test_timestamps_at_the_int64_limits(self):
+        top = np.iinfo(np.int64).max
+        bottom = np.iinfo(np.int64).min
+        for a, b in ([top - 5, top], [top, top - 5], [bottom, bottom + 3], [bottom + 3, bottom]):
+            a, b = np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)
+            hist = correlate(a, b, bin_width=10.0, window=100.0)
+            np.testing.assert_array_equal(hist.counts, _all_pairs(a, b, 10.0, 100.0))
+            assert hist.counts.sum() == 1
+
+    @settings(max_examples=200)
+    @given(data=st.data(),
+           bin_width=st.sampled_from([0.3, 7.5, 10.0, 100.0, 20_000.0]),
+           chunk=st.sampled_from([1, 3, 1 << 16]))
+    def test_matches_the_float_kernel_below_2_40_ps(self, data, bin_width, chunk):
+        bins = data.draw(st.one_of(st.just(1.0), st.floats(1.0, 40.0)), label="window_bins")
+        window = bins * bin_width
+        span = max(int(3 * window), 4)
+        base = data.draw(st.integers(0, 2**40 - span), label="base")
+
+        def stream(label):
+            offsets = data.draw(st.lists(st.integers(0, span), max_size=40), label=label)
+            return np.array(sorted(offsets), dtype=np.int64) + base
+
+        a, b = stream("start"), stream("stop")
+        new = correlate(a, b, bin_width, window, chunk=chunk).counts
+        assert np.array_equal(new, _reference_correlate(a, b, bin_width, window, chunk=chunk).counts)
+        assert np.array_equal(new, _all_pairs(a, b, bin_width, window))
+
+
+def _all_pairs(a, b, bin_width, window):
+    """Brute force over every pair, with each delay an exact Python int."""
+    half = int(math.floor(window / bin_width))
+    counts = np.zeros(2 * half + 1, dtype=np.int64)
+    for t0 in a.tolist():
+        for t1 in b.tolist():
+            k = math.floor((t1 - t0) / bin_width + 0.5) + half
+            if 0 <= k < counts.size:
+                counts[k] += 1
+    return counts
+
+
+# The float64 kernel that the integer kernel replaced, kept verbatim: below
+# 2^53 ps both must count every pair into the same bin.
+def _reference_correlate(start, stop, bin_width: float, window: float,
+                         rep_period: float | None = None,
+                         chunk: int = 1 << 16) -> CorrelationHistogram:
+    a = _timestamps(start)
+    b = _timestamps(stop)
+    if bin_width <= 0:
+        raise ValueError("bin_width must be > 0")
+    if window < bin_width:
+        raise ValueError("window must cover at least one bin")
+    half = int(math.floor(window / bin_width))
+    n_bins = 2 * half + 1
+    counts = np.zeros(n_bins, dtype=np.int64)
+    lo_bound = -(half + 0.5) * bin_width
+    hi_bound = (half + 0.5) * bin_width
+    for s in range(0, a.size, chunk):
+        a_c = a[s:s + chunk]
+        lo = np.searchsorted(b, a_c + lo_bound, side="left")
+        hi = np.searchsorted(b, a_c + hi_bound, side="left")
+        reps = hi - lo
+        m = int(reps.sum())
+        if m == 0:
+            continue
+        starts = np.repeat(lo, reps)
+        offsets = np.arange(m) - np.repeat(np.cumsum(reps) - reps, reps)
+        d = b[starts + offsets].astype(np.float64) - np.repeat(a_c, reps).astype(np.float64)
+        k = np.floor(d / bin_width + 0.5).astype(np.int64) + half
+        k = k[(k >= 0) & (k < n_bins)]
+        counts += np.bincount(k, minlength=n_bins)
+    delays = (np.arange(n_bins) - half) * bin_width
+    if rep_period is not None and rep_period <= 0:
+        raise ValueError("rep_period must be > 0 when given")
+    return CorrelationHistogram(delays=delays, counts=counts, bin_width=bin_width,
+                                rep_period=rep_period)
 
 
 def _pulsed_pair_histogram(g2_zero, rep_period=50_000.0, n_side=12, side_area=20_000,
