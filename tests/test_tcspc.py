@@ -316,6 +316,9 @@ class TestCorrelate:
             hist = correlate(a, b, bin_width=10.0, window=100.0)
             np.testing.assert_array_equal(hist.counts, _all_pairs(a, b, 10.0, 100.0))
             assert hist.counts.sum() == 1
+        # a window past 2^63 ps has no int64 edge
+        with pytest.raises(ValueError, match="int64"):
+            correlate(a, b, bin_width=1e19, window=1e19)
 
     @settings(max_examples=200)
     @given(data=st.data(),
