@@ -31,7 +31,7 @@ Model per pulse:
    survives detector efficiency, gets Gaussian timing jitter
    (sigma = fwhm / 2.3548).  Within each partition the click times are
    rounded to whole ps, clamped at 0 and split by detector; each detector's
-   partitions are then concatenated and sorted, and its dead time is applied.
+   clicks are then sorted, and its dead time is applied.
 
 Each partition pre-draws five arrays (excite, complex, dark, delay,
 reservoir) and computes every candidate pulse's outcome with array
@@ -42,6 +42,10 @@ next candidate's pulse (they may block it); everything between two visits
 is accepted in bulk.  The draws, their order and the float expressions are
 those of a plain pulse-by-pulse loop, so the output is unchanged bit for
 bit; ``tests/test_engine.py`` keeps that loop as a reference.
+
+Each partition's photons and clicks are copied into one output array per
+photon column and per detector, grown in place, so no partition's arrays
+outlive it.
 """
 
 from __future__ import annotations
@@ -74,6 +78,12 @@ PARTITION_PULSES = 1 << 16
 _BACKGROUND_STREAM_BASE = 1 << 32
 _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _CW_CHUNK = 1 << 18
+# An output array is first sized at its first non-empty part scaled to the
+# rest of the run, with _HEADROOM to spare, and an overrun grows it by
+# _GROWTH.  Spare room from np.empty is not resident until written, but
+# ndarray.resize zero-fills what it adds.
+_HEADROOM = 1.1
+_GROWTH = 1.25
 
 
 def recapture_probability(excitation: ExcitationSpec) -> float:
@@ -105,6 +115,39 @@ def _band_mask(config: ExperimentConfig) -> np.ndarray:
         return np.ones(len(config.emitter.complexes), dtype=bool)
     lam = np.array([energy_to_wavelength_nm(cx.emission_energy) for cx in config.emitter.complexes])
     return np.abs(lam - ch.filter_center) <= 0.5 * ch.filter_bandwidth
+
+
+class _GrowingArray:
+    """A 1-D output array filled part by part.  ``ndarray.resize`` grows
+    and trims it by realloc, so no list of parts lives on beside their
+    concatenation."""
+
+    def __init__(self, dtype):
+        self._data = np.empty(0, dtype)
+        self._size = 0
+
+    def append(self, values: np.ndarray, parts_left: float) -> None:
+        """Copy ``values`` in.  ``parts_left`` estimates how many parts of
+        this one's extent the run holds from here on, this one included; it
+        sizes the array at the first non-empty part."""
+        end = self._size + values.size
+        if end > self._data.size:
+            if self._data.size == 0:
+                size = math.ceil(_HEADROOM * values.size * parts_left)
+                self._data = np.empty(max(end, size), self._data.dtype)
+            else:
+                # no view of _data outlives a call, so nothing can dangle
+                size = math.ceil(_GROWTH * self._data.size)
+                self._data.resize(max(end, size), refcheck=False)
+        self._data[self._size:end] = values
+        self._size = end
+
+    def trimmed(self) -> np.ndarray:
+        """The filled array.  The object is spent: its array is handed on."""
+        data = self._data
+        self._data = None
+        data.resize(self._size, refcheck=False)
+        return data
 
 
 def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
@@ -242,14 +285,14 @@ def _dead_time_filter(ts: np.ndarray, dead_ps: float) -> np.ndarray:
     return ts[keep]
 
 
-def _assemble_clicks(config: ExperimentConfig, parts) -> list[ClickStream]:
-    """One click stream per detector from ``parts``, a list of ``_detect``
-    results (one int64 array per detector per batch): each detector's
-    arrays are concatenated and sorted, then its dead time is applied."""
+def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
+    """One click stream per detector from ``clicks``, its ``_GrowingArray``
+    of ``_detect`` results: each detector's array is trimmed and sorted in
+    place, then its dead time is applied."""
     digest = config_digest(config)
     streams = []
     for d, spec in enumerate(config.detectors):
-        ts = np.concatenate([np.empty(0, np.int64)] + [p[d] for p in parts])
+        ts = clicks[d].trimmed()
         ts.sort()
         ts = _dead_time_filter(ts, spec.dead_time * 1000.0)
         streams.append(ClickStream(detector_id=d, timestamps=ts, meta=digest))
@@ -277,7 +320,8 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
     sigma = np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors])
     n_det = len(config.detectors)
 
-    pulse_parts, rel_parts, cx_parts, re_parts, click_parts = [], [], [], [], []
+    columns = [_GrowingArray(dtype) for dtype in (np.int64, np.float64, np.int16, bool)]
+    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
     next_free = -np.inf
     for start in range(0, n_pulses, PARTITION_PULSES):
         n = min(PARTITION_PULSES, n_pulses - start)
@@ -287,24 +331,17 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
             em.dark_fraction, em.tau_fast * 1000.0, em.tau_slow * 1000.0,
             p_rc, config.excitation.recapture_time, next_free,
         )
+        parts_left = (n_pulses - start) / n
         abs_times = pulses * period_ps + rel
-        click_parts.append(_detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det))
-        pulse_parts.append(pulses)
-        rel_parts.append(rel)
-        cx_parts.append(cx)
-        re_parts.append(re)
+        for out, part in zip(clicks, _detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det)):
+            out.append(part, parts_left)
+        for out, part in zip(columns, (pulses, rel, cx, re)):
+            out.append(part, parts_left)
 
-    clicks = _assemble_clicks(config, click_parts)
-    # free the click parts, then build the photon columns one at a time,
-    # each freeing its parts before the next, so only one column is ever
-    # held twice
-    del click_parts
-    columns = []
-    for parts in (pulse_parts, rel_parts, cx_parts, re_parts):
-        columns.append(np.concatenate(parts))
-        parts.clear()
-    photons = PhotonStream(*columns, complex_tags=tuple(cx.tag for cx in em.complexes))
-    return photons, clicks
+    streams = _assemble_clicks(config, clicks)
+    photons = PhotonStream(*[c.trimmed() for c in columns],
+                           complex_tags=tuple(cx.tag for cx in em.complexes))
+    return photons, streams
 
 
 def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
@@ -319,8 +356,9 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
     _require_valid(config, ExcitationMode.CW)
     duration_ps = config.duration * 1e12
 
+    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
     if config.excitation.power_ratio <= 0:
-        return _assemble_clicks(config, [])
+        return _assemble_clicks(config, clicks)
 
     em = config.emitter
     tau_fast_ps = em.tau_fast * 1000.0
@@ -337,7 +375,6 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
     n_det = len(config.detectors)
 
     gen = rng_substream(config.rng_seed, 0)
-    parts = []
     t = 0.0
     while t < duration_ps:
         waits = gen.exponential(tau_wait_ps, _CW_CHUNK)
@@ -345,12 +382,14 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         emit = t + np.cumsum(waits + lives)
         u_cx = gen.uniform(_CW_CHUNK)
         cx = np.minimum(np.searchsorted(cum_weights, u_cx, side="right"), cum_weights.size - 1)
+        parts_left = (duration_ps - t) / (float(emit[-1]) - t)
         t = float(emit[-1])
         m = int(np.searchsorted(emit, duration_ps))
         if m == 0:
             break
-        parts.append(_detect(gen, emit[:m], cx[:m], in_band, p_chain, eff, sigma, n_det))
-    return _assemble_clicks(config, parts)
+        for out, part in zip(clicks, _detect(gen, emit[:m], cx[:m], in_band, p_chain, eff, sigma, n_det)):
+            out.append(part, parts_left)
+    return _assemble_clicks(config, clicks)
 
 
 def merge_background(stream: ClickStream, dark_rate: float, config: ExperimentConfig) -> ClickStream:

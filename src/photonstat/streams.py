@@ -105,6 +105,14 @@ class PhotonStream:
         return self.pulse_index * rep_period_ps + self.emission_time
 
 
+def _require_sorted(ts: np.ndarray) -> None:
+    """Raise unless ``ts`` is sorted ascending.  Neighbours are compared
+    directly: an int64 difference would wrap across the int64 range, and
+    would copy the stream."""
+    if ts.size > 1 and np.any(ts[1:] < ts[:-1]):
+        raise ValueError("timestamps must be sorted ascending")
+
+
 @dataclass(frozen=True)
 class ClickStream:
     """Detector clicks: sorted int64 timestamps in ps plus provenance.
@@ -122,8 +130,7 @@ class ClickStream:
         object.__setattr__(self, "timestamps", ts)
         if ts.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")
-        if ts.size > 1 and np.any(np.diff(ts) < 0):
-            raise ValueError("timestamps must be sorted ascending")
+        _require_sorted(ts)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -156,10 +163,10 @@ def read_clicks_binary(path) -> ClickStream:
         raise ValueError(f"{path}: not a click-stream file (bad magic {magic!r})")
     if version != STREAM_VERSION:
         raise ValueError(f"{path}: unsupported click-stream version {version}")
-    payload = raw[_HEADER.size :]
-    if len(payload) != 8 * count:
+    if len(raw) - _HEADER.size != 8 * count:
         raise ValueError(f"{path}: payload length does not match declared count {count}")
-    raw_ts = np.frombuffer(payload, dtype="<u8")
+    # a view of the payload in raw, so the file is held at most twice
+    raw_ts = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
     if raw_ts.size and raw_ts.max() >= 1 << 63:
         raise ValueError(f"{path}: timestamp {int(raw_ts.max())} does not fit in int64")
     ts = raw_ts.astype(np.int64)

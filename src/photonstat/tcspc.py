@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FitError, FitProblem, least_squares
-from .streams import ClickStream, PhotonStream
+from .streams import ClickStream, PhotonStream, _require_sorted
 
 __all__ = [
     "DecayHistogram",
@@ -356,8 +356,7 @@ def _timestamps(stream) -> np.ndarray:
     ts = np.asarray(stream, dtype=np.int64)
     if ts.ndim != 1:
         raise ValueError("timestamps must be one-dimensional")
-    if ts.size > 1 and np.any(np.diff(ts) < 0):
-        raise ValueError("timestamps must be sorted ascending")
+    _require_sorted(ts)
     return ts
 
 

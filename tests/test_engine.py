@@ -6,7 +6,11 @@ expected value is exact and the tolerance is set at 5-6 standard errors.
 """
 
 import dataclasses
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -596,6 +600,72 @@ class TestMemory:
             "pulse_index", "emission_time", "complex_index", "is_reexcitation"))
         output += sum(c.timestamps.nbytes for c in clicks)
         assert peak <= 1.6 * output, f"peak {peak} B for {output} B of output"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+    def test_resident_growth_stays_near_the_output_size(self):
+        # tracemalloc cannot see memory that glibc keeps after a free: a
+        # list of per-partition parts freed into the heap stayed resident
+        # beside their concatenation, and grew the RSS by 2.0-2.2x the output.
+        # C5(a)'s config at 4M pulses, in a fresh process.
+        script = (
+            "import resource\n"
+            "from photonstat.acceptance import _hbt_config\n"
+            "from photonstat.engine import simulate_pulsed\n"
+            "cfg = _hbt_config(20e6, 0.0, 0.0, 1.0, 0.0, 4_000_000, seed=501)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "photons, clicks = simulate_pulsed(cfg)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "output = sum(getattr(photons, col).nbytes for col in (\n"
+            "    'pulse_index', 'emission_time', 'complex_index', 'is_reexcitation'))\n"
+            "output += sum(c.timestamps.nbytes for c in clicks)\n"
+            "print(1024 * (after - before), output)\n"
+        )
+        src = str(Path(photonstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        growth, output = map(int, run.stdout.split())
+        assert growth <= 1.5 * output, f"RSS grew {growth} B for {output} B of output"
+
+
+class TestGrowingArray:
+    """The engine's output arrays must hold exactly what concatenating the
+    same parts gives."""
+
+    # the first non-empty part, 5 with 2 parts left, reserves 11 and the
+    # next 6 fill it; 40 and 300 each overrun a growth step, 3 and 1 each
+    # take one step
+    SIZES = [0, 5, 6, 0, 40, 3, 300, 1]
+
+    @staticmethod
+    def _parts(dtype, sizes):
+        rng = np.random.default_rng(11)
+        if dtype is bool:
+            return [rng.random(n) < 0.5 for n in sizes]
+        if dtype is np.float64:
+            return [rng.normal(0.0, 1e6, n) for n in sizes]
+        info = np.iinfo(dtype)
+        return [rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True) for n in sizes]
+
+    @pytest.mark.parametrize("sizes", [SIZES, [0, 0, 0], []], ids=["overruns", "empty_parts", "no_parts"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.int16, bool])
+    def test_equals_concatenate(self, dtype, sizes):
+        parts = self._parts(dtype, sizes)
+        out = engine._GrowingArray(dtype)
+        for part in parts:
+            out.append(part, parts_left=2.0)
+        got = out.trimmed()
+        want = np.concatenate([np.empty(0, dtype)] + parts)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_reserves_the_scaled_first_part_and_grows_by_a_fixed_factor(self):
+        out = engine._GrowingArray(np.int64)
+        out.append(np.arange(10), parts_left=3.0)
+        assert out._data.size == math.ceil(engine._HEADROOM * 10 * 3.0)
+        out.append(np.arange(25), parts_left=2.0)
+        assert out._data.size == math.ceil(engine._GROWTH * math.ceil(engine._HEADROOM * 30))
+        assert out.trimmed().size == 35
 
 
 class TestDeadTimeFilter:

@@ -291,6 +291,12 @@ class TestCorrelate:
     def test_unsorted_raw_array_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             correlate(np.array([5, 1]), np.array([1, 2]), bin_width=10.0, window=100.0)
+        with pytest.raises(ValueError, match="sorted"):
+            _timestamps(np.array([1, 0]))
+
+    @pytest.mark.parametrize("ts", [[-5, 2**63 - 1], [-2**63, 2**63 - 1]])
+    def test_sorted_raw_array_spanning_the_int64_range_accepted(self, ts):
+        np.testing.assert_array_equal(_timestamps(np.array(ts, dtype=np.int64)), ts)
 
     def test_window_narrower_than_bin_rejected(self):
         with pytest.raises(ValueError, match="window"):
