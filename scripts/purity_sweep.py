@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from photonstat.engine import simulate_pulsed
+from photonstat.engine import simulate_clicks
 from photonstat.model import paper_device_defaults
 from photonstat.report import atomic_write_text
 from photonstat.tcspc import correlate, purity_from_histogram
@@ -56,7 +56,7 @@ def measure_point(base, power_ratio: float, pulses: int, seed: int,
         duration=pulses,
         rng_seed=seed,
     )
-    _, (det0, det1) = simulate_pulsed(config)
+    det0, det1 = simulate_clicks(config)
     period_ps = 1e12 / rep_rate
     hist = correlate(det0, det1, bin_width=100.0, window=10.6 * period_ps,
                      rep_period=period_ps)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import merge_background, simulate_pulsed
+from .engine import merge_background, simulate_clicks
 from .model import (
     ChargeComplex,
     ChargeTag,
@@ -53,7 +53,7 @@ from .tcspc import (
     purity_from_histogram,
 )
 
-__all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "CRITERION_IDS", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,12 @@ def _hbt_config(
     )
 
 
-def _measure_purity(config: ExperimentConfig, bin_width: float = 100.0):
+def _measure_purity(config: ExperimentConfig):
     period = 1e12 / config.excitation.rep_rate
-    _, clicks = simulate_pulsed(config)
-    hist = correlate(
-        clicks[0],
-        clicks[1],
-        bin_width=bin_width,
-        window=10.6 * period,
-        rep_period=period,
-    )
-    return purity_from_histogram(hist, n_side_peaks=10), hist
+    clicks = simulate_clicks(config)
+    hist = correlate(clicks[0], clicks[1], bin_width=100.0, window=10.6 * period,
+                     rep_period=period)
+    return purity_from_histogram(hist, n_side_peaks=10)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,7 @@ def criterion_c4(scale: float = 1.0) -> CriterionResult:
         duration=1_700_000,
         rng_seed=210,
     )
-    _, clicks = simulate_pulsed(cfg)
+    clicks = simulate_clicks(cfg)
     n_detected = len(clicks[0])
     period = 1e12 / cfg.excitation.rep_rate
     hist = build_decay_histogram(clicks[0], bin_width=100.0, fold=period)
@@ -226,14 +221,14 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     # (a) no re-excitation: the zero peak is empty up to bridging leakage,
     # which a 50 ns period makes negligible
     quiet = _hbt_config(20e6, 0.0, 0.0, 1.0, 0.0, 10_000_000, seed=501)
-    purity_a, _ = _measure_purity(quiet)
+    purity_a = _measure_purity(quiet)
     checks.append(_bound("(a) g2(0), recapture off", purity_a.g2_zero, 0.01 * scale))
 
     # (b) recapture tuned to a 0.96 purity; dip time recovered through 200 ps
     # detector jitter
     tuned = _hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 4_000_000, seed=502)
     period = 1e12 / tuned.excitation.rep_rate
-    _, clicks = simulate_pulsed(tuned)
+    clicks = simulate_clicks(tuned)
     hist = correlate(clicks[0], clicks[1], bin_width=10.0, window=10.6 * period,
                      rep_period=period)
     purity_b = purity_from_histogram(hist, n_side_peaks=10)
@@ -245,7 +240,7 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     purities = []
     for power, n_pulses, seed in ((1.0, 2_000_000, 503), (0.5, 4_000_000, 504), (0.1, 16_000_000, 505)):
         cfg = _hbt_config(80e6, 0.1, 0.40, power, 200.0, n_pulses, seed=seed)
-        report, _ = _measure_purity(cfg)
+        report = _measure_purity(cfg)
         purities.append((power, report.purity))
     monotone = purities[0][1] <= purities[1][1] <= purities[2][1]
     seq = ", ".join(f"P/Psat={p:g}: {v:.4f}" for p, v in purities)
@@ -257,7 +252,7 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     band = []
     for p_sat, seed in ((0.07, 506), (0.40, 507), (1.0, 508)):
         cfg = _hbt_config(20e6, 0.0, p_sat, 1.0, 0.0, 2_000_000, seed=seed)
-        report, _ = _measure_purity(cfg)
+        report = _measure_purity(cfg)
         band.append((p_sat, report.purity))
     lo, hi = 0.882 - 0.01 * scale, 0.994 + 0.01 * scale
     in_band = all(lo <= v <= hi for _, v in band)
@@ -354,7 +349,7 @@ def criterion_c9(scale: float = 1.0) -> CriterionResult:
     )
 
     def run_once() -> tuple[str, bytes]:
-        _, clicks = simulate_pulsed(cfg)
+        clicks = simulate_clicks(cfg)
         stream_blob = "".join(stream_digest(s) for s in clicks)
         period = 1e12 / cfg.excitation.rep_rate
         hist = build_decay_histogram(clicks[0], bin_width=100.0, fold=period)
@@ -412,8 +407,3 @@ def run_criterion(criterion_id: str, tolerance_scale: float = 1.0) -> CriterionR
     if tolerance_scale <= 0:
         raise ValueError("tolerance_scale must be > 0")
     return _CRITERIA[criterion_id](tolerance_scale)
-
-
-def run_all(tolerance_scale: float = 1.0, ids=None) -> list[CriterionResult]:
-    selected = CRITERION_IDS if ids is None else tuple(ids)
-    return [run_criterion(cid, tolerance_scale) for cid in selected]

@@ -65,10 +65,6 @@ class InputError(Exception):
     """User-input problem: exit code 2."""
 
 
-class AnalysisError(Exception):
-    """Analysis-level failure: exit code 1, structured error report written."""
-
-
 # ---------------------------------------------------------------------------
 # Manifest
 

@@ -43,9 +43,12 @@ is accepted in bulk.  The draws, their order and the float expressions are
 those of a plain pulse-by-pulse loop, so the output is unchanged bit for
 bit; ``tests/test_engine.py`` keeps that loop as a reference.
 
-Each partition's photons and clicks are copied into one output array per
-photon column and per detector, grown in place, so no partition's arrays
-outlive it.
+Two entry points share one partition loop.  ``simulate_pulsed`` copies
+each partition's photons and clicks into one output array per photon column
+and per detector, grown in place, so no partition's arrays outlive it.
+``simulate_clicks`` keeps only the clicks, bit for bit the same, for the
+callers that discard the photons: the photon columns hold 19 bytes per
+emitted photon, against 8 per click.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "PARTITION_PULSES",
     "recapture_probability",
     "simulate_pulsed",
+    "simulate_clicks",
     "simulate_cw",
     "merge_background",
 ]
@@ -299,9 +303,12 @@ def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
     return streams
 
 
-def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickStream]]:
-    """Simulate a pulsed run.  Returns the emitted photons and one click
-    stream per detector.  Bit-for-bit reproducible for a given config."""
+def _pulsed_partitions(config: ExperimentConfig):
+    """The partition loop of a pulsed run.  Validates ``config``, then
+    yields, partition by partition, the photon columns (pulse index,
+    emission time, complex index, re-excitation flag), one array of
+    ``_detect`` clicks per detector, and the ``parts_left`` estimate of
+    ``_GrowingArray.append``."""
     _require_valid(config, ExcitationMode.PULSED)
     n_pulses = int(round(config.duration))
     if n_pulses < 1:
@@ -320,8 +327,6 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
     sigma = np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors])
     n_det = len(config.detectors)
 
-    columns = [_GrowingArray(dtype) for dtype in (np.int64, np.float64, np.int16, bool)]
-    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
     next_free = -np.inf
     for start in range(0, n_pulses, PARTITION_PULSES):
         n = min(PARTITION_PULSES, n_pulses - start)
@@ -331,17 +336,37 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
             em.dark_fraction, em.tau_fast * 1000.0, em.tau_slow * 1000.0,
             p_rc, config.excitation.recapture_time, next_free,
         )
-        parts_left = (n_pulses - start) / n
         abs_times = pulses * period_ps + rel
-        for out, part in zip(clicks, _detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det)):
+        clicks = _detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det)
+        yield (pulses, rel, cx, re), clicks, (n_pulses - start) / n
+
+
+def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickStream]]:
+    """Simulate a pulsed run.  Returns the emitted photons and one click
+    stream per detector.  Bit-for-bit reproducible for a given config."""
+    columns = [_GrowingArray(dtype) for dtype in (np.int64, np.float64, np.int16, bool)]
+    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
+    for photon_parts, click_parts, parts_left in _pulsed_partitions(config):
+        for out, part in zip(clicks, click_parts):
             out.append(part, parts_left)
-        for out, part in zip(columns, (pulses, rel, cx, re)):
+        for out, part in zip(columns, photon_parts):
             out.append(part, parts_left)
 
     streams = _assemble_clicks(config, clicks)
     photons = PhotonStream(*[c.trimmed() for c in columns],
-                           complex_tags=tuple(cx.tag for cx in em.complexes))
+                           complex_tags=tuple(cx.tag for cx in config.emitter.complexes))
     return photons, streams
+
+
+def simulate_clicks(config: ExperimentConfig) -> list[ClickStream]:
+    """The click streams of ``simulate_pulsed(config)``, bit for bit, without
+    keeping the photons: each partition's photon columns are dropped once
+    its clicks are drawn."""
+    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
+    for _, click_parts, parts_left in _pulsed_partitions(config):
+        for out, part in zip(clicks, click_parts):
+            out.append(part, parts_left)
+    return _assemble_clicks(config, clicks)
 
 
 def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:

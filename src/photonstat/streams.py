@@ -137,17 +137,17 @@ class ClickStream:
 
 
 def _serialized(stream: ClickStream) -> tuple[bytes, np.ndarray]:
-    """The binary header and the payload as a little-endian u8 view of the
-    timestamps, so that writing or hashing never copies the payload."""
+    """The binary header and the payload as little-endian <i8 timestamps,
+    so that writing or hashing never copies the payload.  For non-negative
+    timestamps these are the bytes of the file's u64 payload."""
     ts = stream.timestamps
-    if ts.size and ts[0] < 0:
-        raise ValueError("negative timestamps cannot be serialized")
     header = _HEADER.pack(STREAM_MAGIC, STREAM_VERSION, stream.detector_id, ts.size)
-    # non-negative <i8 and <u8 share their bytes
-    return header, np.ascontiguousarray(ts, dtype="<i8").view("<u8")
+    return header, np.ascontiguousarray(ts, dtype="<i8")
 
 
 def write_clicks_binary(path, stream: ClickStream) -> None:
+    if len(stream) and stream.timestamps[0] < 0:
+        raise ValueError("negative timestamps cannot be serialized")
     header, payload = _serialized(stream)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -225,7 +225,9 @@ def read_photons_csv(path) -> PhotonStream:
 
 
 def stream_digest(stream: ClickStream) -> str:
-    """SHA-256 over the binary serialization, used as report provenance."""
+    """SHA-256 over the binary serialization, used as report provenance.
+    Negative timestamps, which the file format refuses, hash as their <i8
+    bytes."""
     header, payload = _serialized(stream)
     digest = hashlib.sha256(header)
     digest.update(payload)

@@ -241,6 +241,41 @@ class TestAnalyze:
             "photons.csv": "a8b72f2c12437572f4eec2531ef596f4a27a8d06ee3f5430d749412fa78af7d5",
         }
 
+    @pytest.fixture
+    def negative_csvs(self, tmp_path):
+        # 40k pulses at 20 MHz, one 1.5 ns decay each, split at random over
+        # two detectors; detector 0 also holds a click 150 ps before the
+        # first pulse, which a CSV may carry but a .pstm file cannot
+        g = np.random.default_rng(9)
+        ts = np.arange(40_000) * 50_000 + np.rint(g.exponential(1_500.0, 40_000)).astype(np.int64)
+        det0 = g.random(ts.size) < 0.5
+        paths = []
+        for d, part in enumerate((np.append(-150, ts[det0]), ts[~det0])):
+            paths.append(tmp_path / f"det{d}.csv")
+            np.savetxt(paths[-1], part, fmt="%d")
+        return paths
+
+    def test_lifetime_of_a_csv_with_a_negative_timestamp(self, tmp_path, negative_csvs):
+        out = tmp_path / "life"
+        rc = main(["analyze", "lifetime", "--input", str(negative_csvs[0]),
+                   "--out-dir", str(out), "--rep-rate", "20e6"])
+        assert rc == 0
+        report = read_report(out / "lifetime.json")
+        assert report["payload"]["tau_fast"] == pytest.approx(1.5, rel=0.05)
+        assert len(report["provenance"]["input_digest"]) == 64
+        assert (out / "manifest.json").exists()
+
+    def test_g2_of_csvs_with_a_negative_timestamp(self, tmp_path, negative_csvs):
+        out = tmp_path / "g2"
+        rc = main(["analyze", "g2", "--input", str(negative_csvs[0]),
+                   "--input2", str(negative_csvs[1]), "--out-dir", str(out),
+                   "--rep-rate", "20e6"])
+        assert rc == 0
+        report = read_report(out / "g2_report.json")
+        assert report["payload"]["purity"]["purity"] > 0.99
+        assert len(report["provenance"]["input_digest"]) == 128
+        assert (out / "manifest.json").exists()
+
     def test_g2_without_recapture_is_pure(self, tmp_path, config_path):
         # Without re-excitation each pulse yields at most one photon, so the
         # zero peak empties.  The slow spin branch must go too: its 30 ns

@@ -25,6 +25,7 @@ from photonstat.engine import (
     _dead_time_filter,
     merge_background,
     recapture_probability,
+    simulate_clicks,
     simulate_cw,
     simulate_pulsed,
 )
@@ -508,6 +509,14 @@ class TestScalarReferenceEquivalence:
         assert free == ref_free
         assert [stream_digest(c) for c in clicks] == [stream_digest(c) for c in ref_clicks]
 
+    @pytest.mark.parametrize("name", list(EQUIVALENCE_CONFIGS))
+    def test_clicks_only_run_gives_the_same_clicks(self, name):
+        cfg = EQUIVALENCE_CONFIGS[name]
+        _, clicks = simulate_pulsed(cfg)
+        only = simulate_clicks(cfg)
+        assert [stream_digest(c) for c in only] == [stream_digest(c) for c in clicks]
+        assert [c.meta for c in only] == [c.meta for c in clicks]
+
     def test_cases_reach_what_they_are_named_for(self, monkeypatch):
         ph, _, _ = _run_with(monkeypatch, EQUIVALENCE_CONFIGS["no_candidates"],
                              engine._simulate_partition)
@@ -525,18 +534,23 @@ class TestGoldenDigests:
     draw fails here, whatever its statistics."""
 
     def test_stock_device(self):
-        _, clicks = simulate_pulsed(paper_device_defaults())
-        assert [stream_digest(c) for c in clicks] == [
+        want = [
             "cfae078d61aac2e07d1e2c781e16f03f86b3d0da373907de5ee49d20b9fc208e",
             "3feca9a8593a57a51ee1a0cb12a6b57ffc0a3dbcfab4318ea79861921bfac63e",
         ]
+        _, clicks = simulate_pulsed(paper_device_defaults())
+        assert [stream_digest(c) for c in clicks] == want
+        assert [stream_digest(c) for c in simulate_clicks(paper_device_defaults())] == want
 
     def test_c5b_device(self):
-        _, clicks = simulate_pulsed(_hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 4_000_000, seed=502))
-        assert [stream_digest(c) for c in clicks] == [
+        want = [
             "ec989c681dd18216b942c44b8c6dc79708583ff857d09321cc083e491b0ee92e",
             "4985f903460abe594e30805deecbdc4a19c32b0481d9633f22d9dd79a48ae474",
         ]
+        cfg = _hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 4_000_000, seed=502)
+        _, clicks = simulate_pulsed(cfg)
+        assert [stream_digest(c) for c in clicks] == want
+        assert [stream_digest(c) for c in simulate_clicks(cfg)] == want
 
     def test_cw_stock_device(self):
         base = paper_device_defaults()
@@ -626,6 +640,29 @@ class TestMemory:
                              text=True, timeout=300, check=True)
         growth, output = map(int, run.stdout.split())
         assert growth <= 1.5 * output, f"RSS grew {growth} B for {output} B of output"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+    def test_clicks_only_growth_stays_near_the_click_size(self):
+        # simulate_clicks drops each partition's photon columns, so the run
+        # holds little more than its clicks: 1.43x in this test, against
+        # about 3.9x the click bytes when the photon columns are kept.
+        # C5(a)'s config at 4M pulses, in a fresh process.
+        script = (
+            "import resource\n"
+            "from photonstat.acceptance import _hbt_config\n"
+            "from photonstat.engine import simulate_clicks\n"
+            "cfg = _hbt_config(20e6, 0.0, 0.0, 1.0, 0.0, 4_000_000, seed=501)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "clicks = simulate_clicks(cfg)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(1024 * (after - before), sum(c.timestamps.nbytes for c in clicks))\n"
+        )
+        src = str(Path(photonstat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        growth, output = map(int, run.stdout.split())
+        assert growth <= 1.6 * output, f"RSS grew {growth} B for {output} B of clicks"
 
 
 class TestGrowingArray:

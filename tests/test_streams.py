@@ -261,3 +261,18 @@ class TestDigest:
             write_clicks_binary(path, stream)
             assert stream_digest(stream) == hashlib.sha256(path.read_bytes()).hexdigest()
             np.testing.assert_array_equal(read_clicks_binary(path).timestamps, stream.timestamps)
+
+    def test_pinned_literal(self):
+        # recorded while the digest hashed the payload as a <u8 view
+        ts = np.array([0, 1, 1234567, 2**62, 2**63 - 1], dtype=np.int64)
+        assert stream_digest(ClickStream(detector_id=3, timestamps=ts)) == (
+            "6536a318b81a942b00b8a07a43b1b481ebe824315a8ae5e643bc6434c2c07dac")
+
+    def test_hashes_negative_timestamps_that_the_writer_refuses(self, tmp_path):
+        ts = np.array([-150, 0, 7], dtype=np.int64)
+        stream = ClickStream(detector_id=0, timestamps=ts)
+        header = struct.pack("<4sHHQ", b"PSTM", 1, 0, 3)
+        assert stream_digest(stream) == hashlib.sha256(header + ts.astype("<i8").tobytes()).hexdigest()
+        with pytest.raises(ValueError, match="negative timestamps"):
+            write_clicks_binary(tmp_path / "a.pstm", stream)
+        assert not (tmp_path / "a.pstm").exists()
