@@ -311,8 +311,6 @@ def _pulsed_partitions(config: ExperimentConfig):
     ``_GrowingArray.append``."""
     _require_valid(config, ExcitationMode.PULSED)
     n_pulses = int(round(config.duration))
-    if n_pulses < 1:
-        raise ValueError("pulsed duration is a pulse count and must be >= 1")
 
     em = config.emitter
     period_ps = 1e12 / config.excitation.rep_rate

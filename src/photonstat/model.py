@@ -9,10 +9,13 @@ dataclasses and reject unknown keys.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 __all__ = [
     "ChargeTag",
@@ -240,10 +243,18 @@ def validate(config: ExperimentConfig) -> list[Violation]:
         if not det.dead_time >= 0:
             add(Violation(f"detectors[{i}].dead_time", "must be >= 0"))
 
-    if not config.duration > 0:
+    if ex.mode is ExcitationMode.PULSED:
+        # round(duration) >= 1 under round-half-to-even, written so NaN fails
+        if not config.duration > 0.5:
+            add(Violation("duration", "must round to >= 1 pulse in pulsed mode"))
+    elif not config.duration > 0:
         add(Violation("duration", "must be > 0"))
-    if not isinstance(config.rng_seed, int) or isinstance(config.rng_seed, bool):
+    seed = config.rng_seed
+    if not isinstance(seed, int) or isinstance(seed, bool):
         add(Violation("rng_seed", "must be an integer"))
+    elif not 0 <= seed < 2**64:
+        # the random substreams key on 64 bits; a wider seed would alias
+        add(Violation("rng_seed", "must lie in [0, 2^64)"))
     return out
 
 
@@ -293,192 +304,78 @@ def paper_device_defaults() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip.  Field names are the dataclass field names, exactly; any
-# unknown key is rejected with its path.
+# JSON round-trip.  The schema is the dataclasses above: one typed walk over
+# their fields and type hints maps each dataclass to an object with exactly
+# its field names (every field required, unknown keys rejected with their
+# path), each ``tuple[X, ...]`` to a list, each Enum to its value and each
+# number to its declared type.
+
+# Type hints are strings under postponed evaluation; resolve each class once.
+_hints = functools.cache(get_type_hints)
+
+
+def _dump(value, hint):
+    if is_dataclass(hint):
+        hints = _hints(hint)
+        return {f.name: _dump(getattr(value, f.name), hints[f.name]) for f in fields(hint)}
+    if get_origin(hint) is tuple:
+        return [_dump(v, get_args(hint)[0]) for v in value]
+    if issubclass(hint, Enum):
+        return value.value
+    # Floats are coerced so the canonical JSON (and the digest derived from
+    # it) does not depend on whether a field was built with an int or a
+    # float; the int seed passes through as given.
+    return float(value) if hint is float else value
+
+
+def _load(data, hint, path: str):
+    where = path or "config"
+    if is_dataclass(hint):
+        if not isinstance(data, dict):
+            raise ValueError(f"{where}: expected an object")
+        names = [f.name for f in fields(hint)]
+        unknown = set(data) - set(names)
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
+        missing = set(names) - set(data)
+        if missing:
+            raise ValueError(f"{where}: missing key(s) {sorted(missing)}")
+        hints = _hints(hint)
+        prefix = f"{path}." if path else ""
+        return hint(**{n: _load(data[n], hints[n], prefix + n) for n in names})
+    if get_origin(hint) is tuple:
+        if not isinstance(data, list):
+            raise ValueError(f"{where}: expected a list")
+        return tuple(_load(v, get_args(hint)[0], f"{path}[{i}]") for i, v in enumerate(data))
+    if issubclass(hint, Enum):
+        try:
+            return hint(data)
+        except ValueError:
+            noun = path.rsplit(".", 1)[-1]
+            raise ValueError(
+                f"{path}: unknown {noun} {data!r}; expected one of {[m.value for m in hint]}"
+            ) from None
+    if hint is int:
+        if isinstance(data, bool) or not isinstance(data, int):
+            raise ValueError(f"{path}: expected an integer")
+        return data
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise ValueError(f"{path}: expected a number")
+    try:
+        value = float(data)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: expected a finite number")
+    return value
+
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    # Numeric leaves are coerced to float so the canonical JSON text (and the
-    # digest derived from it) does not depend on whether a field was built
-    # with an int or a float.
-    return {
-        "emitter": {
-            "tau_fast": float(config.emitter.tau_fast),
-            "tau_slow": float(config.emitter.tau_slow),
-            "slow_branch_fraction": float(config.emitter.slow_branch_fraction),
-            "dark_fraction": float(config.emitter.dark_fraction),
-            "complexes": [
-                {
-                    "tag": cx.tag.value,
-                    "emission_energy": float(cx.emission_energy),
-                    "relative_intensity": float(cx.relative_intensity),
-                }
-                for cx in config.emitter.complexes
-            ],
-            "homogeneous_linewidth": float(config.emitter.homogeneous_linewidth),
-            "gaussian_linewidth": float(config.emitter.gaussian_linewidth),
-        },
-        "excitation": {
-            "mode": config.excitation.mode.value,
-            "rep_rate": float(config.excitation.rep_rate),
-            "power_ratio": float(config.excitation.power_ratio),
-            "recapture_probability_at_sat": float(config.excitation.recapture_probability_at_sat),
-            "recapture_time": float(config.excitation.recapture_time),
-        },
-        "chain": {
-            "beta": float(config.chain.beta),
-            "directionality": float(config.chain.directionality),
-            "sideband_pass": float(config.chain.sideband_pass),
-            "transmission": float(config.chain.transmission),
-            "filter_center": float(config.chain.filter_center),
-            "filter_bandwidth": float(config.chain.filter_bandwidth),
-        },
-        "detectors": [
-            {
-                "efficiency": float(det.efficiency),
-                "jitter_fwhm": float(det.jitter_fwhm),
-                "dead_time": float(det.dead_time),
-            }
-            for det in config.detectors
-        ],
-        "duration": float(config.duration),
-        "rng_seed": config.rng_seed,
-    }
-
-
-def _take(d: dict, path: str, required: set[str]) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: expected an object")
-    unknown = set(d) - required
-    if unknown:
-        raise ValueError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {sorted(missing)}")
-
-
-def _number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{path}: expected a number")
-    return float(v)
+    return _dump(config, ExperimentConfig)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _take(data, "config", {"emitter", "excitation", "chain", "detectors", "duration", "rng_seed"})
-
-    em = data["emitter"]
-    _take(
-        em,
-        "emitter",
-        {
-            "tau_fast",
-            "tau_slow",
-            "slow_branch_fraction",
-            "dark_fraction",
-            "complexes",
-            "homogeneous_linewidth",
-            "gaussian_linewidth",
-        },
-    )
-    if not isinstance(em["complexes"], list):
-        raise ValueError("emitter.complexes: expected a list")
-    complexes = []
-    for i, cd in enumerate(em["complexes"]):
-        path = f"emitter.complexes[{i}]"
-        _take(cd, path, {"tag", "emission_energy", "relative_intensity"})
-        try:
-            tag = ChargeTag(cd["tag"])
-        except ValueError:
-            raise ValueError(
-                f"{path}.tag: unknown tag {cd['tag']!r}; expected one of "
-                f"{[t.value for t in ChargeTag]}"
-            ) from None
-        complexes.append(
-            ChargeComplex(
-                tag=tag,
-                emission_energy=_number(cd["emission_energy"], f"{path}.emission_energy"),
-                relative_intensity=_number(cd["relative_intensity"], f"{path}.relative_intensity"),
-            )
-        )
-    emitter = EmitterSpec(
-        tau_fast=_number(em["tau_fast"], "emitter.tau_fast"),
-        tau_slow=_number(em["tau_slow"], "emitter.tau_slow"),
-        slow_branch_fraction=_number(em["slow_branch_fraction"], "emitter.slow_branch_fraction"),
-        dark_fraction=_number(em["dark_fraction"], "emitter.dark_fraction"),
-        complexes=tuple(complexes),
-        homogeneous_linewidth=_number(em["homogeneous_linewidth"], "emitter.homogeneous_linewidth"),
-        gaussian_linewidth=_number(em["gaussian_linewidth"], "emitter.gaussian_linewidth"),
-    )
-
-    ex = data["excitation"]
-    _take(
-        ex,
-        "excitation",
-        {
-            "mode",
-            "rep_rate",
-            "power_ratio",
-            "recapture_probability_at_sat",
-            "recapture_time",
-        },
-    )
-    try:
-        mode = ExcitationMode(ex["mode"])
-    except ValueError:
-        raise ValueError(
-            f"excitation.mode: unknown mode {ex['mode']!r}; expected one of "
-            f"{[m.value for m in ExcitationMode]}"
-        ) from None
-    excitation = ExcitationSpec(
-        mode=mode,
-        rep_rate=_number(ex["rep_rate"], "excitation.rep_rate"),
-        power_ratio=_number(ex["power_ratio"], "excitation.power_ratio"),
-        recapture_probability_at_sat=_number(
-            ex["recapture_probability_at_sat"], "excitation.recapture_probability_at_sat"
-        ),
-        recapture_time=_number(ex["recapture_time"], "excitation.recapture_time"),
-    )
-
-    ch = data["chain"]
-    _take(
-        ch,
-        "chain",
-        {"beta", "directionality", "sideband_pass", "transmission", "filter_center", "filter_bandwidth"},
-    )
-    chain = OpticalChain(
-        beta=_number(ch["beta"], "chain.beta"),
-        directionality=_number(ch["directionality"], "chain.directionality"),
-        sideband_pass=_number(ch["sideband_pass"], "chain.sideband_pass"),
-        transmission=_number(ch["transmission"], "chain.transmission"),
-        filter_center=_number(ch["filter_center"], "chain.filter_center"),
-        filter_bandwidth=_number(ch["filter_bandwidth"], "chain.filter_bandwidth"),
-    )
-
-    if not isinstance(data["detectors"], list):
-        raise ValueError("detectors: expected a list")
-    detectors = []
-    for i, dd in enumerate(data["detectors"]):
-        path = f"detectors[{i}]"
-        _take(dd, path, {"efficiency", "jitter_fwhm", "dead_time"})
-        detectors.append(
-            DetectorSpec(
-                efficiency=_number(dd["efficiency"], f"{path}.efficiency"),
-                jitter_fwhm=_number(dd["jitter_fwhm"], f"{path}.jitter_fwhm"),
-                dead_time=_number(dd["dead_time"], f"{path}.dead_time"),
-            )
-        )
-
-    seed = data["rng_seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("rng_seed: expected an integer")
-
-    return ExperimentConfig(
-        emitter=emitter,
-        excitation=excitation,
-        chain=chain,
-        detectors=tuple(detectors),
-        duration=_number(data["duration"], "duration"),
-        rng_seed=seed,
-    )
+    return _load(data, ExperimentConfig, "")
 
 
 def config_to_json(config: ExperimentConfig) -> str:

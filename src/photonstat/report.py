@@ -34,7 +34,6 @@ __all__ = [
     "write_xy_csv",
     "read_xy_csv",
     "write_histogram_csv",
-    "write_saturation_csv",
     "read_saturation_csv",
     "write_profile_csv",
     "read_profile_csv",
@@ -172,11 +171,6 @@ def write_histogram_csv(path, hist) -> Path:
     if hasattr(hist, "delays"):
         return write_xy_csv(path, ("delay_ps", "counts"), hist.delays, hist.counts)
     return write_xy_csv(path, ("time_ps", "counts"), hist.bin_centers, hist.counts)
-
-
-def write_saturation_csv(path, points) -> Path:
-    pts = [(float(p), float(r)) for p, r in points]
-    return write_xy_csv(path, ("power", "rate"), [p for p, _ in pts], [r for _, r in pts])
 
 
 def read_saturation_csv(path) -> list[tuple[float, float]]:

@@ -100,10 +100,6 @@ class PhotonStream:
         for i in range(len(self)):
             yield self[i]
 
-    def absolute_times(self, rep_period_ps: float) -> np.ndarray:
-        """Emission times on the experiment clock, ps."""
-        return self.pulse_index * rep_period_ps + self.emission_time
-
 
 def _require_sorted(ts: np.ndarray) -> None:
     """Raise unless ``ts`` is sorted ascending.  Neighbours are compared

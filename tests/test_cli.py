@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from photonstat.cli import main
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
-from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_saturation_csv
+from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_xy_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
 from photonstat.streams import ClickStream, read_clicks_binary, write_clicks_binary
 from photonstat.report import write_profile_csv
@@ -136,6 +136,50 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(old), "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "pulse_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, literal",
+        [
+            (("duration",), "1" + "0" * 400),
+            (("duration",), "1e400"),
+            (("excitation", "rep_rate"), "1e400"),
+            (("excitation", "power_ratio"), "1e400"),
+            (("emitter", "tau_slow"), "1e400"),
+            (("detectors", 0, "jitter_fwhm"), "1e400"),
+            (("chain", "beta"), "NaN"),
+            (("duration",), "-Infinity"),
+        ],
+        ids=["duration-int", "duration", "rep_rate", "power_ratio", "tau_slow", "jitter_fwhm",
+             "beta-nan", "duration-minus-inf"],
+    )
+    def test_non_finite_number_is_input_error_before_any_write(
+        self, tmp_path, config_path, capsys, path, literal
+    ):
+        data = json.loads(config_path.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = "@"
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(data).replace('"@"', literal))
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", str(bad), "--out-dir", str(out)])
+        assert rc == 2
+        assert _tree(out) == []
+        assert "expected a finite number" in capsys.readouterr().err
+
+    def test_pulsed_duration_below_one_pulse_is_input_error_before_any_write(
+        self, tmp_path, config_path, capsys
+    ):
+        data = json.loads(config_path.read_text())
+        data["duration"] = 0.4
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", str(bad), "--out-dir", str(out)])
+        assert rc == 2
+        assert _tree(out) == []
+        assert "invalid config: duration" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -299,7 +343,7 @@ class TestAnalyze:
     def test_saturation_report(self, tmp_path):
         sat_csv = tmp_path / "sat.csv"
         powers = np.geomspace(0.05, 8.0, 12)
-        write_saturation_csv(sat_csv, [(p, 1e5 * -np.expm1(-p / 0.4)) for p in powers])
+        write_xy_csv(sat_csv, ("power", "rate"), powers, 1e5 * -np.expm1(-powers / 0.4))
         out = tmp_path / "sat"
         rc = main(["analyze", "saturation", "--input", str(sat_csv), "--out-dir", str(out)])
         assert rc == 0
@@ -310,7 +354,7 @@ class TestAnalyze:
     def test_unconstrained_saturation_is_analysis_failure(self, tmp_path, capsys):
         sat_csv = tmp_path / "sat.csv"
         powers = [0.01, 0.02, 0.03, 0.04, 0.05]
-        write_saturation_csv(sat_csv, [(p, 1e5 * -np.expm1(-p / 10.0)) for p in powers])
+        write_xy_csv(sat_csv, ("power", "rate"), powers, [1e5 * -np.expm1(-p / 10.0) for p in powers])
         out = tmp_path / "sat"
         rc = main(["analyze", "saturation", "--input", str(sat_csv), "--out-dir", str(out)])
         assert rc == 1

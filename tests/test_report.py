@@ -18,7 +18,6 @@ from photonstat.report import (
     write_histogram_csv,
     write_profile_csv,
     write_report,
-    write_saturation_csv,
     write_xy_csv,
 )
 from photonstat.spectral import LineProfile, generate_array
@@ -163,7 +162,7 @@ class TestCsv:
     def test_saturation_roundtrip(self, tmp_path):
         path = tmp_path / "sat.csv"
         pts = [(0.1, 100.0), (0.5, 400.5), (2.0, 900.25)]
-        write_saturation_csv(path, pts)
+        write_xy_csv(path, ("power", "rate"), [p for p, _ in pts], [r for _, r in pts])
         back = read_saturation_csv(path)
         assert [(p, r) for p, r in back] == pts
 

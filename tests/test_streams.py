@@ -228,10 +228,6 @@ class TestPhotonStream:
                 complex_tags=(ChargeTag.X,),
             )
 
-    def test_absolute_times(self, photons):
-        out = photons.absolute_times(12_500.0)
-        np.testing.assert_allclose(out[2], 3 * 12_500.0 + 98.25)
-
     def test_record_access(self, photons):
         rec = photons[1]
         assert rec.is_reexcitation
