@@ -235,11 +235,16 @@ def validate(config: ExperimentConfig) -> list[Violation]:
 
     if len(config.detectors) == 0:
         add(Violation("detectors", "at least one detector is required"))
+    # click times are int64 ps: run end (NaN without a rate) + 20 FWHM < 2^63
+    rate = ex.rep_rate if ex.mode is ExcitationMode.PULSED else 1.0
+    end_ps = config.duration * 1e12 / rate if rate > 0 else math.nan
     for i, det in enumerate(config.detectors):
         if not _in_unit_interval(det.efficiency):
             add(Violation(f"detectors[{i}].efficiency", "must lie in [0, 1]"))
         if not det.jitter_fwhm >= 0:
             add(Violation(f"detectors[{i}].jitter_fwhm", "must be >= 0"))
+        elif end_ps < 2.0**63 <= end_ps + 20.0 * det.jitter_fwhm:
+            add(Violation(f"detectors[{i}].jitter_fwhm", "must keep click times below 2^63 ps"))
         if not det.dead_time >= 0:
             add(Violation(f"detectors[{i}].dead_time", "must be >= 0"))
 

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import warnings
 
 import numpy as np
+from scipy import fft
 from scipy.optimize import least_squares as scipy_least_squares
-from scipy.signal import fftconvolve
 
 __all__ = [
     "FitError",
@@ -220,14 +220,11 @@ def convolve_profiles(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray
                 RuntimeWarning,
                 stacklevel=2,
             )
-    full = fftconvolve(f, g, mode="full") * dx
+    # fftconvolve(f, g, mode="full")'s steps, so its bits, on scipy.fft (which
+    # scipy.optimize loads); all 2n - 1 points, so the window from t = 0 is whole
     n = x.size
-    out = np.zeros(n)
-    start = i0
-    stop = min(start + n, full.size)
-    if stop > start:
-        out[: stop - start] = full[start:stop]
-    return out
+    size = fft.next_fast_len(2 * n - 1, True)
+    return fft.irfft(fft.rfft(f, size) * fft.rfft(g, size), size)[i0 : i0 + n] * dx
 
 
 def profile_fwhm(x: np.ndarray, y: np.ndarray) -> float:

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import ChargeTag
 
 __all__ = [
-    "PhotonRecord",
     "PhotonStream",
     "ClickStream",
     "write_clicks_binary",
@@ -46,27 +45,11 @@ _PHOTON_HEADER = "pulse_index,time_ps,complex,is_reexcitation"
 _CSV_BATCH = 8192
 
 
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One emission event.
-
-    emission_time is ps since the originating pulse and may exceed the pulse
-    period (slow emissions wrap into later periods rather than being
-    discarded).
-    """
-
-    pulse_index: int
-    emission_time: float
-    complex_tag: ChargeTag
-    is_reexcitation: bool
-
-
 class PhotonStream:
-    """Column-oriented sequence of :class:`PhotonRecord`, time ordered.
-
-    Rows are materialized on access; bulk work should use the column arrays
-    directly.
-    """
+    """Emission events as columns, time ordered; complex_index indexes
+    complex_tags.  emission_time is ps since the originating pulse and may
+    exceed the pulse period (slow emissions wrap into later periods rather
+    than being discarded)."""
 
     def __init__(
         self,
@@ -87,18 +70,6 @@ class PhotonStream:
 
     def __len__(self) -> int:
         return int(self.pulse_index.size)
-
-    def __getitem__(self, i: int) -> PhotonRecord:
-        return PhotonRecord(
-            pulse_index=int(self.pulse_index[i]),
-            emission_time=float(self.emission_time[i]),
-            complex_tag=self.complex_tags[int(self.complex_index[i])],
-            is_reexcitation=bool(self.is_reexcitation[i]),
-        )
-
-    def __iter__(self) -> Iterator[PhotonRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _require_sorted(ts: np.ndarray) -> None:

@@ -4,6 +4,7 @@ and the out-dir write boundary."""
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -180,6 +181,16 @@ class TestSimulate:
         assert rc == 2
         assert _tree(out) == []
         assert "invalid config: duration" in capsys.readouterr().err
+
+    def test_jitter_past_int64_click_times_is_input_error_before_any_write(
+        self, tmp_path, config_path, capsys
+    ):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--config", str(config_path), "--out-dir", str(out),
+                   "--set", "detectors[0].jitter_fwhm=1e30"])
+        assert rc == 2
+        assert _tree(out) == []
+        assert "invalid config: detectors[0].jitter_fwhm" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -512,3 +523,25 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "photonstat" in proc.stdout
+
+
+def test_commands_never_load_scipy_signal_or_stats(tmp_path):
+    # The two modules cost every process about 0.9 s of imports, and nothing
+    # in photonstat needs them: C7's convolution runs on scipy.fft and C8's
+    # peak finder on numpy.  A fresh process, since pytest loads them itself.
+    spectra = generate_array(5, seed=5)
+    array_csv = write_array_csvs(tmp_path / "arr", spectra)[0]
+    script = (
+        "import sys\n"
+        "from photonstat import acceptance, cli\n"
+        "assert acceptance.run_criterion('C7').passed\n"
+        "assert acceptance.run_criterion('C8').passed\n"
+        f"assert cli.main(['analyze', 'yield', '--input', {str(array_csv)!r},\n"
+        f"                 '--out-dir', {str(tmp_path / 'yield')!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -8,6 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from photonstat import acceptance
 from photonstat.model import (
     ChargeComplex,
     ChargeTag,
@@ -131,6 +132,39 @@ class TestValidate:
             config, excitation=dataclasses.replace(config.excitation, mode=mode), duration=duration
         )
         assert [v.field for v in validate(cfg)] == ([] if ok else ["duration"])
+
+    @pytest.mark.parametrize(
+        "mode, duration, jitter, fields",
+        [
+            (ExcitationMode.PULSED, 60_000, 1e30, ["detectors[0].jitter_fwhm"]),
+            # 1e6 pulses at 80 MHz end at 1.25e16 ps; 2^63 ps is 9.22e18
+            (ExcitationMode.PULSED, 1_000_000, 4e17, []),
+            (ExcitationMode.PULSED, 1_000_000, 5e17, ["detectors[0].jitter_fwhm"]),
+            (ExcitationMode.CW, 1e6, 4e17, []),
+            (ExcitationMode.CW, 2e6, 4e17, ["detectors[0].jitter_fwhm"]),
+            # a run with no end is the duration's fault alone
+            (ExcitationMode.PULSED, float("nan"), 1e30, ["duration"]),
+        ],
+    )
+    def test_jitter_must_keep_click_times_inside_int64(self, config, mode, duration, jitter, fields):
+        cfg = dataclasses.replace(
+            config,
+            excitation=dataclasses.replace(config.excitation, mode=mode),
+            detectors=(dataclasses.replace(config.detectors[0], jitter_fwhm=jitter),
+                       config.detectors[1]),
+            duration=duration,
+        )
+        assert [v.field for v in validate(cfg)] == fields
+
+    def test_longest_criteria_runs_still_validate(self, config):
+        # The criteria tests run every acceptance config through the engine's
+        # validation, test_scripts the scripts' and test_benchmark_interface
+        # the benchmark's; these are the criteria's longest runs.
+        pulsed = acceptance._hbt_config(80e6, 0.1, 0.40, 0.1, 200.0, 16_000_000, seed=505)
+        cw = dataclasses.replace(
+            config, excitation=dataclasses.replace(config.excitation, mode=ExcitationMode.CW),
+            duration=20.0)
+        assert validate(pulsed) == validate(cw) == []
 
     def test_multiple_violations_all_reported(self, config):
         cfg = dataclasses.replace(

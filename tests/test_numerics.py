@@ -5,6 +5,8 @@ normal-equation solution, convolution of distributions adds variances, and
 substream moments follow from the generating distribution.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +217,45 @@ class TestConvolve:
         f = _gauss(x, 6.0)  # far from decayed at the edges
         with pytest.warns(RuntimeWarning):
             convolve_profiles(x, f, f)
+
+
+def _fftconvolve_reference(x, f, g):
+    """convolve_profiles through scipy's fftconvolve, imported here only."""
+    from scipy.signal import fftconvolve
+
+    dx = x[1] - x[0]
+    i0 = int(round(-x[0] / dx))
+    return (fftconvolve(f, g, mode="full") * dx)[i0 : i0 + x.size]
+
+
+class TestConvolveMatchesFftconvolve:
+    def test_c7_grids_bit_for_bit(self):
+        from photonstat.spectral import gaussian_profile, lorentzian_profile
+
+        x = np.linspace(-60.0, 60.0, 8001)
+        delta = np.zeros_like(x)
+        delta[x.size // 2] = 1.0 / (x[1] - x[0])
+        pairs = [
+            (lorentzian_profile(x, 1.0), lorentzian_profile(x, 1.3)),
+            (gaussian_profile(x, 1.0), gaussian_profile(x, 1.3)),
+            (delta, gaussian_profile(x, 2.0)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Lorentzian tails
+            for f, g in pairs:
+                np.testing.assert_array_equal(convolve_profiles(x, f, g),
+                                              _fftconvolve_reference(x, f, g))
+
+    @given(n=st.integers(2, 3000), zero=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_lengths_bit_for_bit(self, n, zero, seed):
+        # odd and even lengths, t = 0 anywhere on the grid
+        x = (np.arange(n) - int(zero * (n - 1))) * 0.25
+        rng = np.random.default_rng(seed)
+        f, g = rng.random(n), rng.random(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # untapered edges
+            np.testing.assert_array_equal(convolve_profiles(x, f, g),
+                                          _fftconvolve_reference(x, f, g))
 
 
 class TestProfileFwhm:

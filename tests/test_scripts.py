@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from photonstat.model import paper_device_defaults, validate
 from photonstat.report import read_xy_csv
 from photonstat.tcspc import CorrelationHistogram, purity_from_histogram
 
@@ -44,3 +45,12 @@ def test_characterize_device(tmp_path, capsys):
     purity = purity_from_histogram(hist)
     assert 0.0 <= purity.purity <= 1.0
     assert f"purity          {purity.purity:8.4f}" in capsys.readouterr().out
+
+
+def test_default_configs_validate():
+    # the runs each script makes with its default arguments
+    demo = _load("characterize_device")
+    configs = [_load("purity_sweep").bright_bench(paper_device_defaults()),
+               demo.demo_config(demo.parse_args([])),
+               demo.demo_config(demo.parse_args(["--realistic-chain"]))]
+    assert [validate(c) for c in configs] == [[]] * 3

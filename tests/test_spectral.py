@@ -2,8 +2,8 @@
 
 The Voigt evaluator is checked against scipy.special.voigt_profile (Faddeeva
 function) called with the FWHM-to-sigma/half-width conversions written out
-independently; everything fitted is checked by round trip against the
-injected truth.
+independently, and the peak finder against scipy's find_peaks, imported here
+only; everything fitted is checked by round trip against the injected truth.
 """
 
 import dataclasses
@@ -11,9 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import find_peaks
 from scipy.special import voigt_profile as scipy_voigt
 
 from photonstat.spectral import (
+    _find_peaks,
     ArrayStatistics,
     SpectrumClass,
     TrueLine,
@@ -260,6 +263,51 @@ class TestClassify:
         lam, y = self._spectrum([1.0], [980.0])
         with pytest.raises(ValueError):
             classify_spectrum(lam, y, dominance_threshold=0.0)
+
+
+def _oracle_peaks(y):
+    """scipy's find_peaks with the arguments classify_spectrum passes."""
+    floor = max(12.0, 0.02 * float(y.max()))
+    return find_peaks(y, height=floor, prominence=0.8 * floor, distance=10)[0].tolist()
+
+
+def _classified_peaks(y):
+    lam = 975.0 + 0.01 * np.arange(y.size)
+    return sorted(int(np.searchsorted(lam, p.wavelength_nm))
+                  for p in classify_spectrum(lam, y).peaks)
+
+
+# Few distinct levels, so that plateaus and tied heights are common.
+_samples = st.sampled_from([0.0, 3.0, 12.0, 14.0, 20.0, 20.0, 35.0, 60.0,
+                            math.nan, math.inf, -math.inf])
+_spectra = st.lists(_samples | st.integers(0, 80).map(float), min_size=1, max_size=120)
+
+
+class TestPeakFinder:
+    @settings(max_examples=300)
+    @given(values=_spectra)
+    @example(values=[60.0, 0.0, 30.0, 30.0, 0.0, 60.0])  # maxima on both edges
+    @example(values=[0.0, 40.0, 40.0, 40.0, 40.0, 0.0])  # a plateau
+    @example(values=[0.0, 40.0, 40.0, 0.0] + [0.0] * 5 + [40.0, 0.0])  # tied, 8 apart
+    @example(values=[0.0, 50.0] + [0.0] * 9 + [40.0, 0.0])  # exactly 10 samples apart
+    @example(values=[0.0, 50.0, math.nan, 50.0, 0.0, math.inf, 0.0])
+    def test_classify_finds_scipys_peaks(self, values):
+        y = np.array(values)
+        assert _classified_peaks(y) == _oracle_peaks(y)
+
+    @settings(max_examples=300)
+    @given(values=_spectra, height=st.floats(-10.0, 90.0),
+           prominence=st.floats(0.0, 90.0), distance=st.integers(1, 12))
+    def test_any_arguments(self, values, height, prominence, distance):
+        y = np.array(values)
+        expected = find_peaks(y, height=height, prominence=prominence, distance=distance)[0]
+        np.testing.assert_array_equal(_find_peaks(y, height, prominence, distance), expected)
+
+    def test_c8_array(self):
+        stats = ArrayStatistics(mean_trion_energy=1264.0, std_trion_energy=6.0,
+                                two_peak_probability=0.72)
+        for y in generate_array(100, stats, seed=801).intensities:
+            assert _classified_peaks(y) == _oracle_peaks(y)
 
 
 class TestYieldSummary:
