@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from photonstat.acceptance import _hbt_config
 from photonstat.cli import main
+from photonstat.engine import simulate_clicks
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
 from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_xy_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
@@ -294,6 +296,44 @@ class TestAnalyze:
             "life/decay.csv": "301437599619f3efb4e86ca96cf2ab2d5676a6ccd4350a1568ccd25ac17c9bd4",
             "life/decay_fit.csv": "dbbc2b9bfe5b062b4372e7895169427b2eada90f7e0a2e80fdb027ac13bd4f41",
             "photons.csv": "a8b72f2c12437572f4eec2531ef596f4a27a8d06ee3f5430d749412fa78af7d5",
+        }
+
+    def test_fit_reports_match_pinned_digests(self, tmp_path, sim_dir):
+        # every count-histogram fit: the decay, the C5(b) dip on a reduced
+        # pulse budget, and a Lorentzian and a Voigt etalon scan
+        hbt = _hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 1_000_000, seed=502)
+        for d, stream in enumerate(simulate_clicks(hbt)):
+            write_clicks_binary(tmp_path / f"hbt{d}.pstm", stream)
+        for name, line in (("lorentzian", TrueLine(0.77)), ("voigt", TrueLine(1.0, 1.0))):
+            write_profile_csv(tmp_path / f"{name}.csv",
+                              scan_etalon(line, etalon_fwhm=1.3, seed=3))
+        runs = {
+            "life/lifetime.json": ["lifetime", "--input", str(sim_dir / "clicks_det0.pstm"),
+                                   "--rep-rate", "20e6"],
+            "g2/g2_report.json": ["g2", "--input", str(tmp_path / "hbt0.pstm"),
+                                  "--input2", str(tmp_path / "hbt1.pstm"), "--rep-rate", "20e6",
+                                  "--bin-width", "10", "--dip-jitter-fwhm", "200"],
+            "lorentzian/linewidth.json": ["linewidth", "--input", str(tmp_path / "lorentzian.csv"),
+                                          "--etalon-fwhm", "1.3"],
+            "voigt/linewidth.json": ["linewidth", "--input", str(tmp_path / "voigt.csv"),
+                                     "--etalon-fwhm", "1.3"],
+        }
+        for rel, args in runs.items():
+            out = tmp_path / rel.split("/")[0]
+            assert main(["analyze", *args, "--out-dir", str(out)]) == 0
+        assert read_report(tmp_path / "g2/g2_report.json")["payload"]["dip_time_ps"] is not None
+        for name in ("Lorentzian", "Voigt"):
+            path = tmp_path / name.lower() / "linewidth.json"
+            assert read_report(path)["payload"]["model"] == name
+        digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
+                   for rel in runs}
+        assert digests == {
+            "life/lifetime.json": "0c1666e47432f58ee43ac90a14c2cd1117b42ee7d8f4c240d35cc5256ebca328",
+            "g2/g2_report.json": "b46a25c37ea9aabab6d27e950b03fa4ff55629448a88639042ec319f462d7d12",
+            "lorentzian/linewidth.json":
+                "25d05a77a3fb34a2d1c0771dd576e9f56f536025555d59d9e07f74d68e729e8e",
+            "voigt/linewidth.json":
+                "5a26d661e601af689fe192571670bc55654a06b1d11de2844cae4a85f58f4732",
         }
 
     @pytest.fixture
