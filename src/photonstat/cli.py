@@ -225,14 +225,8 @@ def cmd_analyze_lifetime(args) -> int:
         _write_error_report(run, "lifetime", exc)
         print(f"lifetime analysis failed: {exc}", file=sys.stderr)
         return 1
-    t = hist.bin_centers
-    dt = np.maximum(t - fit.fit_start, 0.0)
-    model = (
-        fit.amplitude_fast * np.exp(-dt / (fit.tau_fast * 1000.0))
-        + fit.amplitude_slow * np.exp(-dt / (fit.tau_slow * 1000.0))
-        + fit.background
-    )
-    write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), t, model)
+    write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), hist.bin_centers,
+                 fit.model_counts(hist.bin_centers))
     # the fold may narrow the requested bin width so whole bins tile the period
     write_report(run.out("lifetime.json"), "lifetime",
                  {**jsonable(fit), "bin_width_ps": hist.bin_width},
@@ -290,8 +284,8 @@ def cmd_analyze_saturation(args) -> int:
         return 1
     powers = np.array([p for p, _ in curve.points])
     grid = np.linspace(powers.min(), powers.max(), 200)
-    model = curve.fitted_rate_sat * -np.expm1(-grid / curve.fitted_p_sat)
-    write_xy_csv(run.out("saturation_fit.csv"), ("power", "model_rate"), grid, model)
+    write_xy_csv(run.out("saturation_fit.csv"), ("power", "model_rate"), grid,
+                 curve.model_rate(grid))
     write_report(run.out("saturation.json"), "saturation", curve)
     run.finish()
     print(f"rate_sat = {curve.fitted_rate_sat:.4g} cps, P_sat = {curve.fitted_p_sat:.4g}")

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -107,11 +108,6 @@ def _require_valid(config: ExperimentConfig, mode: ExcitationMode) -> None:
         raise ValueError(f"config excitation mode is {config.excitation.mode.value}, expected {mode.value}")
 
 
-def _chain_product(config: ExperimentConfig) -> float:
-    ch = config.chain
-    return ch.beta * ch.directionality * ch.sideband_pass * ch.transmission
-
-
 def _band_mask(config: ExperimentConfig) -> np.ndarray:
     """Which complexes pass the spectral filter (bandwidth 0 = no filter)."""
     ch = config.chain
@@ -119,6 +115,24 @@ def _band_mask(config: ExperimentConfig) -> np.ndarray:
         return np.ones(len(config.emitter.complexes), dtype=bool)
     lam = np.array([energy_to_wavelength_nm(cx.emission_energy) for cx in config.emitter.complexes])
     return np.abs(lam - ch.filter_center) <= 0.5 * ch.filter_bandwidth
+
+
+def _emission_and_detection(config: ExperimentConfig):
+    """What the pulsed and CW loops share: the cumulative complex weights,
+    and ``_detect`` bound to the optical chain and detectors of ``config``."""
+    weights = np.array([cx.relative_intensity for cx in config.emitter.complexes], dtype=float)
+    cum_weights = np.cumsum(weights)
+    cum_weights[-1] = max(cum_weights[-1], 1.0)  # guard the top edge for u -> 1
+    ch = config.chain
+    detect = partial(
+        _detect,
+        in_band=_band_mask(config),
+        p_chain=ch.beta * ch.directionality * ch.sideband_pass * ch.transmission,
+        eff=np.array([d.efficiency for d in config.detectors]),
+        sigma=np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors]),
+        n_det=len(config.detectors),
+    )
+    return cum_weights, detect
 
 
 class _GrowingArray:
@@ -315,15 +329,8 @@ def _pulsed_partitions(config: ExperimentConfig):
     em = config.emitter
     period_ps = 1e12 / config.excitation.rep_rate
     p_exc = 1.0 - math.exp(-config.excitation.power_ratio)
-    weights = np.array([cx.relative_intensity for cx in em.complexes], dtype=float)
-    cum_weights = np.cumsum(weights)
-    cum_weights[-1] = max(cum_weights[-1], 1.0)  # guard the top edge for u -> 1
     p_rc = recapture_probability(config.excitation)
-    in_band = _band_mask(config)
-    p_chain = _chain_product(config)
-    eff = np.array([d.efficiency for d in config.detectors])
-    sigma = np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors])
-    n_det = len(config.detectors)
+    cum_weights, detect = _emission_and_detection(config)
 
     next_free = -np.inf
     for start in range(0, n_pulses, PARTITION_PULSES):
@@ -335,7 +342,7 @@ def _pulsed_partitions(config: ExperimentConfig):
             p_rc, config.excitation.recapture_time, next_free,
         )
         abs_times = pulses * period_ps + rel
-        clicks = _detect(gen, abs_times, cx, in_band, p_chain, eff, sigma, n_det)
+        clicks = detect(gen, abs_times, cx)
         yield (pulses, rel, cx, re), clicks, (n_pulses - start) / n
 
 
@@ -383,19 +390,11 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
     if config.excitation.power_ratio <= 0:
         return _assemble_clicks(config, clicks)
 
-    em = config.emitter
-    tau_fast_ps = em.tau_fast * 1000.0
+    tau_fast_ps = config.emitter.tau_fast * 1000.0
     rho = config.excitation.power_ratio
     # mean cycle time = wait + tau_fast = tau_fast / (1 - exp(-rho))
     tau_wait_ps = tau_fast_ps * math.exp(-rho) / -math.expm1(-rho)
-    weights = np.array([cx.relative_intensity for cx in em.complexes], dtype=float)
-    cum_weights = np.cumsum(weights)
-    cum_weights[-1] = max(cum_weights[-1], 1.0)
-    in_band = _band_mask(config)
-    p_chain = _chain_product(config)
-    eff = np.array([d.efficiency for d in config.detectors])
-    sigma = np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors])
-    n_det = len(config.detectors)
+    cum_weights, detect = _emission_and_detection(config)
 
     gen = rng_substream(config.rng_seed, 0)
     t = 0.0
@@ -410,7 +409,7 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         m = int(np.searchsorted(emit, duration_ps))
         if m == 0:
             break
-        for out, part in zip(clicks, _detect(gen, emit[:m], cx[:m], in_band, p_chain, eff, sigma, n_det)):
+        for out, part in zip(clicks, detect(gen, emit[:m], cx[:m])):
             out.append(part, parts_left)
     return _assemble_clicks(config, clicks)
 

@@ -5,12 +5,14 @@ Everything stochastic in this package draws randomness exclusively through
 byte.  The fitter is scipy's trust-region reflective least squares behind a
 small problem/result interface that adds the package's error and covariance
 conventions; it is deterministic for fixed inputs and never consumes
-randomness.
+randomness.  :func:`fit_counts` is the one weighting policy for Poisson
+count histograms (decay, correlation dip, etalon scan): a fit as posed, then
+a refit with weights from the fitted model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 import warnings
 
@@ -23,6 +25,7 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "least_squares",
+    "fit_counts",
     "convolve_profiles",
     "profile_fwhm",
     "SubStream",
@@ -62,9 +65,6 @@ class FitProblem:
         Cap on model evaluations (finite-difference Jacobian evaluations
         excluded).  Hitting it returns the last iterate with
         ``converged=False`` rather than raising.
-    tolerance : float
-        Relative parameter-change threshold declaring convergence (scipy's
-        ``xtol``).
     """
 
     model: Callable[[np.ndarray, object], np.ndarray]
@@ -74,7 +74,6 @@ class FitProblem:
     bounds: Optional[Sequence[tuple[float, float]]] = None
     weights: Optional[np.ndarray] = None
     max_iterations: int = 200
-    tolerance: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,9 @@ def least_squares(problem: FitProblem) -> FitResult:
 
     A thin wrapper over :func:`scipy.optimize.least_squares` (trust-region
     reflective, Jacobian-scaled variables, forward-difference Jacobian),
-    with the solver's function-evaluation count as the iteration cap and
-    ``tolerance`` as its ``xtol``.  Deterministic for fixed inputs.
+    with the solver's function-evaluation count as the iteration cap and a
+    relative parameter-change ``xtol`` of 1e-8.  Deterministic for fixed
+    inputs.
 
     Raises
     ------
@@ -149,7 +149,7 @@ def least_squares(problem: FitProblem) -> FitResult:
         raise FitError("model is not finite at the initial parameters")
     sol = scipy_least_squares(
         residual, p, bounds=(lo, hi), method="trf", x_scale="jac",
-        max_nfev=problem.max_iterations, xtol=problem.tolerance,
+        max_nfev=problem.max_iterations, xtol=1e-8,
     )
 
     jac = sol.jac
@@ -179,6 +179,19 @@ def least_squares(problem: FitProblem) -> FitResult:
         converged=bool(sol.status > 0),
         message=sol.message,
     )
+
+
+def fit_counts(problem: FitProblem) -> FitResult:
+    """Fit a model to Poisson counts: ``problem`` as posed, whose ``weights``
+    serve the first pass, then a refit from that solution with weights
+    1/max(model, 1) of the first fit.  Model weights remove the bias that
+    raw-count weights (or none) leave in sparse or shallow bins, where a
+    downward fluctuation earns inflated weight.  A FitError from either pass
+    propagates.
+    """
+    first = least_squares(problem)
+    weights = 1.0 / np.maximum(problem.model(first.params, problem.x), 1.0)
+    return least_squares(replace(problem, initial_params=first.params, weights=weights))
 
 
 def _grid_spacing(x: np.ndarray) -> float:

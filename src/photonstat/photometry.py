@@ -36,6 +36,10 @@ class SaturationCurve:
     fitted_p_sat: float
     covariance: np.ndarray  # 2x2, (rate_sat, P_sat) order
 
+    def model_rate(self, power: np.ndarray) -> np.ndarray:
+        """The fitted law evaluated at the given powers."""
+        return _saturation_model((self.fitted_rate_sat, self.fitted_p_sat), power)
+
 
 @dataclass(frozen=True)
 class EfficiencyReport:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import voigt_profile
 
 from .model import ChargeTag, wavelength_to_energy_mev
-from .numerics import FitError, FitProblem, least_squares, profile_fwhm, rng_substream
+from .numerics import FitError, FitProblem, fit_counts, profile_fwhm, rng_substream
 
 __all__ = [
     "TrueLine",
@@ -199,34 +199,15 @@ class CoherenceMetrics:
     t2_convention: str = _T2_CONVENTION
 
 
-def _two_pass_fit(model, x, y, p0, bounds):
-    result = least_squares(
-        FitProblem(model=model, x=x, y=y, initial_params=np.asarray(p0, float),
-                   bounds=bounds, max_iterations=3000)
-    )
-    w = 1.0 / np.maximum(model(result.params, x), 1.0)
-    result = least_squares(
-        FitProblem(model=model, x=x, y=y, initial_params=result.params,
-                   bounds=bounds, weights=w, max_iterations=3000)
-    )
-    if not result.converged:
-        raise FitError(f"lineshape fit did not converge: {result.message}")
-    resid = model(result.params, x) - y
-    return result, float(np.sum(w * resid * resid))
-
-
-def fit_lineshape(
-    profile: LineProfile,
-    etalon_fwhm: float,
-    voigt_improvement: float = 0.2,
-) -> LinewidthReport:
+def fit_lineshape(profile: LineProfile, etalon_fwhm: float) -> LinewidthReport:
     """Fit etalon-convolved Lorentzian and Voigt models; prefer Lorentzian.
 
-    The Voigt model is accepted only when it reduces the (weighted) sum of
-    squared residuals by more than voigt_improvement AND its Gaussian
-    component carries more than 20% of the deconvolved width; one extra
-    parameter always helps a little on noise, and that alone must not flip
-    the model.
+    Each model is fitted by :func:`~photonstat.numerics.fit_counts`,
+    unweighted and then with model weights.  The Voigt model is accepted only
+    when it reduces the weighted sum of squared residuals by more than 20%
+    AND its Gaussian component carries more than 20% of the deconvolved
+    width; one extra parameter always helps a little on noise, and that
+    alone must not flip the model.
 
     Raises ValueError when the scan spans less than 3 measured widths and
     FitError when the Lorentzian fit fails to converge.  A deconvolved width
@@ -258,33 +239,30 @@ def fit_lineshape(
         area, center, gamma_l, gamma_g = params
         return area * voigt_profile_numeric(t - center, gamma_l + etalon_fwhm, gamma_g)
 
-    gl0 = max(width0 - etalon_fwhm, 0.05 * width0)
-    lor, ssr_l = _two_pass_fit(
-        lorentz_model, x, y, [area0, center0, gl0], [(0.0, None), (None, None), (0.0, None)]
-    )
+    def fit(model, p0, bounds):
+        result = fit_counts(FitProblem(model=model, x=x, y=y, initial_params=np.asarray(p0, float),
+                                       bounds=bounds, max_iterations=3000))
+        if not result.converged:
+            raise FitError(f"lineshape fit did not converge: {result.message}")
+        return result
 
-    voigt = None
-    ssr_v = math.inf
+    gl0 = max(width0 - etalon_fwhm, 0.05 * width0)
+    lor = fit(lorentz_model, [area0, center0, gl0], [(0.0, None), (None, None), (0.0, None)])
+
+    use_voigt = False
     try:
         gl_fit = float(lor.params[2])
         target = gl_fit + etalon_fwhm
         fl_v0 = 0.7 * gl_fit + etalon_fwhm
         gg0 = math.sqrt(max((target - 0.5346 * fl_v0) ** 2 - 0.2166 * fl_v0**2, (0.05 * target) ** 2))
-        voigt, ssr_v = _two_pass_fit(
-            voigt_model,
-            x,
-            y,
-            [lor.params[0], lor.params[1], 0.7 * gl_fit, gg0],
-            [(0.0, None), (None, None), (0.0, None), (0.0, None)],
-        )
+        voigt = fit(voigt_model, [lor.params[0], lor.params[1], 0.7 * gl_fit, gg0],
+                    [(0.0, None), (None, None), (0.0, None), (0.0, None)])
     except FitError:
-        voigt = None
-
-    use_voigt = False
-    if voigt is not None:
+        pass
+    else:
         gl_v, gg_v = float(voigt.params[2]), float(voigt.params[3])
         fraction = gg_v / (gl_v + gg_v) if gl_v + gg_v > 0 else 0.0
-        use_voigt = ssr_v < (1.0 - voigt_improvement) * ssr_l and fraction > 0.2
+        use_voigt = voigt.residual_norm**2 < 0.8 * lor.residual_norm**2 and fraction > 0.2
 
     if use_voigt:
         gl_fit, gg_fit = float(voigt.params[2]), float(voigt.params[3])

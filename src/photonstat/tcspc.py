@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FitError, FitProblem, least_squares
+from .numerics import FitError, FitProblem, fit_counts
+from .numerics import least_squares  # noqa: F401  perfbench's tests read tcspc.least_squares
 from .streams import ClickStream, PhotonStream, _require_sorted
 
 __all__ = [
@@ -41,6 +42,9 @@ _GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _FOLD_PRE_TRIGGER = 2_000.0
 
 _INT64 = np.iinfo(np.int64)
+
+# Fewer counts than this leave a bi-exponential fit unstable.
+_MIN_DECAY_COUNTS = 1000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,16 @@ class DecayFit:
         fast = self.amplitude_fast * self.tau_fast
         slow = self.amplitude_slow * self.tau_slow
         return slow / (fast + slow)
+
+    def model_counts(self, t: np.ndarray) -> np.ndarray:
+        """Fitted counts per bin at histogram times t (ps); times before the
+        fit start take the fit start's value."""
+        dt = np.maximum(t - self.fit_start, 0.0)
+        return (
+            self.amplitude_fast * np.exp(-dt / (self.tau_fast * 1000.0))
+            + self.amplitude_slow * np.exp(-dt / (self.tau_slow * 1000.0))
+            + self.background
+        )
 
 
 class DecayFitError(FitError):
@@ -190,22 +204,22 @@ def _log_linear_tau(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return -1.0 / slope, float(math.exp(intercept))
 
 
-def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
-                      min_counts: int = 1000) -> DecayFit:
+def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None) -> DecayFit:
     """Weighted bi-exponential fit a e^{-t/tf} + b e^{-t/ts} + c.
 
-    Poisson weights 1/max(count, 1).  The fit starts two bins after the
-    histogram peak unless fit_start (ps) says otherwise; starting past the
-    peak keeps instrument-response distortion out of the lifetime estimate.
-    Raises ValueError below min_counts; an iteration-capped fit comes back
-    with converged=False rather than raising.  When the two components are
-    not separable, a single exponential is fitted instead and the result
-    says so in its model field.
+    Poisson weights 1/max(count, 1), then the model weights of
+    :func:`~photonstat.numerics.fit_counts`.  The fit starts two bins after
+    the histogram peak unless fit_start (ps) says otherwise; starting past
+    the peak keeps instrument-response distortion out of the lifetime
+    estimate.  Raises ValueError below 1000 counts; an iteration-capped fit
+    comes back with converged=False rather than raising.  When the two
+    components are not separable, or the bi-exponential fit fails, a single
+    exponential is fitted instead and the result says so in its model field.
     """
-    if hist.total_counts < min_counts:
+    if hist.total_counts < _MIN_DECAY_COUNTS:
         raise ValueError(
             f"decay histogram holds {hist.total_counts} counts, "
-            f"need at least {min_counts} for a stable fit")
+            f"need at least {_MIN_DECAY_COUNTS} for a stable fit")
     centers = hist.bin_centers
     counts = hist.counts.astype(np.float64)
     if fit_start is None:
@@ -264,54 +278,34 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
         a, tf, b, ts, c = params
         return a * np.exp(-tt / tf) + b * np.exp(-tt / ts) + c
 
-    def two_pass(model_fn, init, bounds, w0):
-        first = least_squares(FitProblem(
-            model=model_fn, x=t, y=y, initial_params=init, bounds=bounds,
-            weights=w0, max_iterations=6000))
-        w_run = 1.0 / np.maximum(model_fn(first.params, t), 1.0)
-        try:
-            return least_squares(FitProblem(
-                model=model_fn, x=t, y=y, initial_params=first.params,
-                bounds=bounds, weights=w_run, max_iterations=6000))
-        except FitError:
-            # The refinement pass can wander into a flat direction (slow
-            # amplitude pinned at zero, or a lifetime so long the window
-            # cannot distinguish it from a constant) where a parameter goes
-            # numerically dead.  The first-pass estimate stands.
-            return first
-
-    # Two weighting passes: raw-count Poisson weights first, then weights
-    # from the fitted model, which removes the downward lifetime bias that
-    # raw-count weights produce in sparsely populated tail bins.
     # Lifetimes above 1000x the window are indistinguishable from the flat
     # background term, so cap them there; the cap also keeps the forward
     # differences alive instead of underflowing when the optimizer probes
     # the long-lifetime direction.
     bounds5 = [(0.0, None), (hist.bin_width * 1e-3, tau_cap), (0.0, None),
                (hist.bin_width * 1e-3, tau_cap), (0.0, None)]
+    resolvable = False
     try:
-        result = two_pass(biexp, np.array([a0, tau_f0, b_at0, tau_s0, 0.0]), bounds5, w)
+        result = fit_counts(FitProblem(
+            model=biexp, x=t, y=y, initial_params=np.array([a0, tau_f0, b_at0, tau_s0, 0.0]),
+            bounds=bounds5, weights=w, max_iterations=6000))
     except FitError:
-        result = None
-    if result is not None:
-        a, tf, b, ts, c = result.params
-        if tf > ts:
-            a, b = b, a
-            tf, ts = ts, tf
-        signal = a * tf + b * ts
-        resolvable = ts > 1.5 * tf and signal > 0 and b * ts / signal > 1e-6
+        pass
     else:
-        resolvable = False
-
-    if resolvable:
+        a, tf, b, ts, c = result.params
         cov = result.covariance
-        if result.params[1] > result.params[3]:
+        if tf > ts:
+            a, b, tf, ts = b, a, ts, tf
             order = [2, 3, 0, 1, 4]
             cov = cov[np.ix_(order, order)]
+        signal = a * tf + b * ts
+        resolvable = ts > 1.5 * tf and signal > 0 and b * ts / signal > 1e-6
+
+    if resolvable:
         n_params = 5
         model = "biexponential"
     else:
-        # Components are not separable (or the full model is degenerate):
+        # Components are not separable, or the bi-exponential fit failed:
         # report a single exponential with zero slow amplitude.
         def single(params, tt):
             a, tf, c = params
@@ -319,10 +313,11 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None,
 
         total = float(y.sum())
         tau0 = max(float((y * t).sum()) / total, hist.bin_width) if total else hist.bin_width
-        result = two_pass(
-            single, np.array([max(float(y.max(initial=1.0)), 1.0), min(tau0, tau_cap), 0.0]),
-            [(0.0, None), (hist.bin_width * 1e-3, tau_cap), (0.0, None)],
-            1.0 / np.maximum(y, 1.0))
+        result = fit_counts(FitProblem(
+            model=single, x=t, y=y,
+            initial_params=np.array([max(float(y.max(initial=1.0)), 1.0), min(tau0, tau_cap), 0.0]),
+            bounds=[(0.0, None), (hist.bin_width * 1e-3, tau_cap), (0.0, None)],
+            weights=w, max_iterations=6000))
         a, tf, c = result.params
         b, ts = 0.0, tf
         cov = np.zeros((5, 5))
@@ -531,25 +526,16 @@ def fit_dip_time(hist: CorrelationHistogram, jitter_fwhm: float,
         ssr = float(np.sum(r * r))
         if best is None or ssr < best[1]:
             best = (tau_dip0, ssr)
-    # Two passes: an unweighted fit shapes the model, then model-based
-    # Poisson weights (not raw-count weights, which bias the shallow dip
-    # bins where downward fluctuations would earn inflated weight).
-    params = np.array([amp0, tau_env0, best[0]])
-    result = None
-    weights = None
-    for _ in range(2):
-        problem = FitProblem(
-            model=model,
-            x=t,
-            y=y,
-            initial_params=params,
-            bounds=[(0.0, None), (hist.bin_width * 1e-3, None), (1e-3, None)],
-            weights=weights,
-            max_iterations=3000,
-        )
-        result = least_squares(problem)
-        params = result.params
-        weights = 1.0 / np.maximum(model(params, t), 1.0)
+    # Unweighted first pass: raw-count weights would bias the shallow dip
+    # bins, where downward fluctuations earn inflated weight.
+    result = fit_counts(FitProblem(
+        model=model,
+        x=t,
+        y=y,
+        initial_params=np.array([amp0, tau_env0, best[0]]),
+        bounds=[(0.0, None), (hist.bin_width * 1e-3, None), (1e-3, None)],
+        max_iterations=3000,
+    ))
     if not result.converged:
         raise FitError(f"dip fit did not converge: {result.message}")
     return float(result.params[2])

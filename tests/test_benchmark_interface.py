@@ -27,6 +27,13 @@ def test_every_traced_function_and_handler_exists():
     assert all(callable(fn) and callable(wrapper) for fn, wrapper in wrappers)
 
 
+def test_tcspc_holds_the_least_squares_the_benchmark_patches():
+    import photonstat.numerics
+    import photonstat.tcspc
+
+    assert photonstat.tcspc.least_squares is photonstat.numerics.least_squares
+
+
 def test_least_squares_wrapper_reads_the_fit_result():
     tracer = spans.Tracer()
     wrapper = {f"{fn.__module__}.{fn.__name__}": w for fn, w in spans._wrappers(tracer)}

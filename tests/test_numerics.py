@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from photonstat import numerics
 from photonstat.numerics import (
     FitError,
     FitProblem,
     FitResult,
     SubStream,
     convolve_profiles,
+    fit_counts,
     least_squares,
     profile_fwhm,
     rng_substream,
 )
+from photonstat.tcspc import build_decay_histogram, fit_biexponential
 
 
 def _linear(params, x):
@@ -156,6 +159,60 @@ class TestCovariance:
         design = np.column_stack([np.ones_like(x), x])
         expected = np.linalg.inv(design.T @ (w[:, None] * design))
         np.testing.assert_allclose(res.covariance, expected, rtol=1e-6)
+
+
+def _constant(params, x):
+    return np.full(x.size, params[0])
+
+
+class TestFitCounts:
+    def test_constant_model_refit_returns_the_mean(self):
+        # Oracle: raw-count weights 1/y make the first pass the harmonic
+        # mean of the counts, below the arithmetic mean; the refit's weights
+        # 1/max(c, 1) are uniform, so it returns the arithmetic mean exactly.
+        y = rng_substream(31, 0).poisson(5.0, 2000).astype(float)
+        problem = FitProblem(model=_constant, x=np.arange(y.size), y=y, initial_params=[1.0],
+                             weights=1.0 / np.maximum(y, 1.0))
+        first = least_squares(problem)
+        result = fit_counts(problem)
+        assert result.converged
+        assert result.params[0] == pytest.approx(y.mean(), rel=1e-9)
+        assert first.params[0] < 0.9 * y.mean()
+
+    @staticmethod
+    def _refit_raises(monkeypatch):
+        solve = numerics.least_squares
+        calls = []
+
+        def flaky(problem):
+            calls.append(problem)
+            if len(calls) == 2:
+                raise FitError("refit failed")
+            return solve(problem)
+
+        monkeypatch.setattr(numerics, "least_squares", flaky)
+        return calls
+
+    def test_refit_error_propagates(self, monkeypatch):
+        calls = self._refit_raises(monkeypatch)
+        x = np.linspace(0.0, 4.0, 60)
+        with pytest.raises(FitError, match="refit failed"):
+            fit_counts(FitProblem(model=_exp_decay, x=x, y=_exp_decay([7.0, 2.5], x),
+                                  initial_params=[1.0, 0.5]))
+        assert len(calls) == 2
+
+    def test_failed_decay_refit_never_returns_the_first_pass(self, monkeypatch):
+        # without the failure this histogram fits as a bi-exponential; a
+        # failed refit sends it down the single-exponential route instead
+        g = rng_substream(21, 0)
+        slow = g.uniform(200_000) < 0.1
+        t = np.where(slow, g.exponential(30_000.0, slow.size), g.exponential(1_500.0, slow.size))
+        hist = build_decay_histogram(t, bin_width=100.0, window=200_000.0)
+        assert fit_biexponential(hist).model == "biexponential"
+        calls = self._refit_raises(monkeypatch)
+        fit = fit_biexponential(hist)
+        assert fit.model == "single_exponential"
+        assert len(calls) == 4
 
 
 def _gauss(x, fwhm):
