@@ -7,13 +7,18 @@ time, so any run is reproducible from the manifest alone.  The manifest is
 the only output carrying a wall time; data and report files are byte-stable
 under reruns with the same seed.
 
-Exit codes: 0 success, 1 analysis or criterion failure, 2 input error.
+Exit codes are decided in :func:`main` alone.  2: a usage error, a bad
+argument value (checked at parse time) or an input that cannot be read
+(:func:`_read`); no file is written.  1: a criterion failed, or an analysis
+or criterion raised; the run then writes ``<kind>.json`` of kind
+``<kind>-error`` and its manifest.  0: success.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -70,12 +75,15 @@ class InputError(Exception):
 
 
 class _Run:
-    """Collects output paths and writes the manifest at the end."""
+    """Collects input and output paths and writes the manifest at the end."""
 
-    def __init__(self, args, out_dir: str):
-        self.argv = args._argv
+    def __init__(self, argv: list[str], out_dir: str):
+        self.argv = argv
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create the output directory: {exc}") from exc
         self.inputs: list[str] = []
         self.outputs: list[str] = []
         self.seed: int | None = None
@@ -89,13 +97,6 @@ class _Run:
             raise InputError(f"output path {name!r} escapes the output directory")
         self.outputs.append(str(path))
         return path
-
-    def used_input(self, path) -> Path:
-        p = Path(path)
-        if not p.exists():
-            raise InputError(f"input not found: {p}")
-        self.inputs.append(str(p))
-        return p
 
     def finish(self) -> None:
         manifest = {
@@ -112,6 +113,17 @@ class _Run:
             self.out_dir / "manifest.json",
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         )
+
+
+def _read(run: _Run, path, reader, *args):
+    """reader(path, *args), recorded as an input of the run; an unreadable or
+    malformed file is an InputError."""
+    try:
+        value = reader(path, *args)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    run.inputs.append(str(path))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +145,13 @@ def _apply_override(data, dotted: str, raw_value: str) -> None:
             try:
                 index = int(idx[:-1])
             except ValueError:
-                raise InputError(f"--set {dotted}: bad list index in {part!r}") from None
+                raise ValueError(f"--set {dotted}: bad list index in {part!r}") from None
         if not isinstance(node, dict) or part not in node:
-            raise InputError(f"--set {dotted}: no config field {'.'.join(parts[: depth + 1])!r}")
+            raise ValueError(f"--set {dotted}: no config field {'.'.join(parts[: depth + 1])!r}")
         if index is not None:
             seq = node[part]
             if not isinstance(seq, list) or not 0 <= index < len(seq):
-                raise InputError(f"--set {dotted}: index {index} out of range")
+                raise ValueError(f"--set {dotted}: index {index} out of range")
             if depth == len(parts) - 1:
                 seq[index] = value
                 return
@@ -151,23 +163,15 @@ def _apply_override(data, dotted: str, raw_value: str) -> None:
 
 
 def _load_config(path: str, overrides: list[str]):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read config: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    """The validated config at path with the --set overrides applied; a
+    malformed file or override raises ValueError, violations InputError."""
+    data = json.loads(Path(path).read_text())
     for item in overrides:
         dotted, sep, raw = item.partition("=")
         if not sep:
-            raise InputError(f"--set needs path=value, got {item!r}")
+            raise ValueError(f"--set needs path=value, got {item!r}")
         _apply_override(data, dotted.strip(), raw)
-    try:
-        config = config_from_dict(data)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    config = config_from_dict(data)
     violations = validate(config)
     if violations:
         raise InputError("\n".join(f"invalid config: {v}" for v in violations))
@@ -182,13 +186,11 @@ def _read_stream(path, detector_id: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the parsed arguments and the run that main finishes
 
 
-def cmd_simulate(args) -> int:
-    run = _Run(args, args.out_dir)
-    config = _load_config(args.config, args.set or [])
-    run.used_input(args.config)
+def cmd_simulate(args, run: _Run) -> int:
+    config = _read(run, args.config, _load_config, args.set or [])
     run.overrides = list(args.set or [])
     run.seed = config.rng_seed
     run.config_digest = config_digest(config)
@@ -202,36 +204,25 @@ def cmd_simulate(args) -> int:
     for stream in clicks:
         path = run.out(f"clicks_det{stream.detector_id}.pstm")
         atomic_write(path, lambda p, s=stream: write_clicks_binary(p, s))
-    run.finish()
     print(f"wrote {len(clicks)} click stream(s) to {run.out_dir}")
     return 0
 
 
-def _write_error_report(run: _Run, kind: str, exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    write_report(run.out(f"{kind}.json"), f"{kind}-error", payload)
-    run.finish()
-
-
-def cmd_analyze_lifetime(args) -> int:
-    run = _Run(args, args.out_dir)
-    stream = _read_stream(run.used_input(args.input))
-    fold = 1e12 / args.rep_rate if args.rep_rate else None
+def cmd_analyze_lifetime(args, run: _Run) -> int:
+    stream = _read(run, args.input, _read_stream)
+    fold = None if args.rep_rate is None else 1e12 / args.rep_rate
+    if fold is not None and round(fold / args.bin_width) < 1:
+        raise InputError(f"bin width {args.bin_width:g} ps leaves no whole bin in the fold "
+                         f"period {fold:g} ps")
     hist = build_decay_histogram(stream, bin_width=args.bin_width, fold=fold)
     write_histogram_csv(run.out("decay.csv"), hist)
-    try:
-        fit = fit_biexponential(hist, fit_start=args.fit_start)
-    except (FitError, ValueError) as exc:
-        _write_error_report(run, "lifetime", exc)
-        print(f"lifetime analysis failed: {exc}", file=sys.stderr)
-        return 1
+    fit = fit_biexponential(hist, fit_start=args.fit_start)
     write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), hist.bin_centers,
                  fit.model_counts(hist.bin_centers))
     # the fold may narrow the requested bin width so whole bins tile the period
     write_report(run.out("lifetime.json"), "lifetime",
                  {**jsonable(fit), "bin_width_ps": hist.bin_width},
                  input_digest=stream_digest(stream))
-    run.finish()
     if fit.model == "single_exponential":
         print(f"tau = {fit.tau_fast:.4g} ns (single exponential: no second component resolved)")
     else:
@@ -239,99 +230,61 @@ def cmd_analyze_lifetime(args) -> int:
     return 0
 
 
-def cmd_analyze_g2(args) -> int:
-    run = _Run(args, args.out_dir)
-    s0 = _read_stream(run.used_input(args.input), detector_id=0)
-    s1 = _read_stream(run.used_input(args.input2), detector_id=1)
+def cmd_analyze_g2(args, run: _Run) -> int:
+    s0 = _read(run, args.input, _read_stream, 0)
+    s1 = _read(run, args.input2, _read_stream, 1)
     period = 1e12 / args.rep_rate
     window = (args.n_side_peaks + 0.6) * period
     hist = correlate(s0, s1, bin_width=args.bin_width, window=window, rep_period=period)
     write_histogram_csv(run.out("g2.csv"), hist)
-    try:
-        purity = purity_from_histogram(hist, n_side_peaks=args.n_side_peaks)
-    except ValueError as exc:
-        _write_error_report(run, "g2", exc)
-        print(f"g2 analysis failed: {exc}", file=sys.stderr)
-        return 1
+    purity = purity_from_histogram(hist, n_side_peaks=args.n_side_peaks)
     payload = {"purity": purity, "dip_time_ps": None, "dip_note": None}
     if args.dip_jitter_fwhm is not None:
         try:
             payload["dip_time_ps"] = fit_dip_time(hist, jitter_fwhm=args.dip_jitter_fwhm)
         except DipFitDegenerateError as exc:
             payload["dip_note"] = str(exc)
-        except FitError as exc:
-            _write_error_report(run, "g2", exc)
-            print(f"dip fit failed: {exc}", file=sys.stderr)
-            return 1
     digest = stream_digest(s0) + stream_digest(s1)
     write_report(run.out("g2_report.json"), "g2", payload, input_digest=digest)
-    run.finish()
     print(f"g2(0) = {purity.g2_zero:.4f}, purity = {purity.purity:.4f}")
     return 0
 
 
-def cmd_analyze_saturation(args) -> int:
-    run = _Run(args, args.out_dir)
-    try:
-        points = read_saturation_csv(run.used_input(args.input))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        curve = fit_saturation(points)
-    except (FitError, ValueError) as exc:
-        _write_error_report(run, "saturation", exc)
-        print(f"saturation fit failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_analyze_saturation(args, run: _Run) -> int:
+    curve = fit_saturation(_read(run, args.input, read_saturation_csv))
     powers = np.array([p for p, _ in curve.points])
     grid = np.linspace(powers.min(), powers.max(), 200)
     write_xy_csv(run.out("saturation_fit.csv"), ("power", "model_rate"), grid,
                  curve.model_rate(grid))
     write_report(run.out("saturation.json"), "saturation", curve)
-    run.finish()
     print(f"rate_sat = {curve.fitted_rate_sat:.4g} cps, P_sat = {curve.fitted_p_sat:.4g}")
     return 0
 
 
-def cmd_analyze_linewidth(args) -> int:
-    run = _Run(args, args.out_dir)
-    try:
-        profile = read_profile_csv(run.used_input(args.input))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        report = fit_lineshape(profile, etalon_fwhm=args.etalon_fwhm)
-    except (FitError, ValueError) as exc:
-        _write_error_report(run, "linewidth", exc)
-        print(f"linewidth fit failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_analyze_linewidth(args, run: _Run) -> int:
+    profile = _read(run, args.input, read_profile_csv)
+    report = fit_lineshape(profile, etalon_fwhm=args.etalon_fwhm)
     if args.lifetime is not None:
         report = with_coherence(report, args.lifetime)
     write_report(run.out("linewidth.json"), "linewidth", report)
-    run.finish()
     limited = " (resolution limited)" if report.resolution_limited else ""
     print(f"model = {report.model}, deconvolved FWHM = {report.deconvolved_fwhm:.4g} GHz{limited}")
     return 0
 
 
-def cmd_analyze_yield(args) -> int:
-    run = _Run(args, args.out_dir)
-    try:
-        spectra = read_array_csvs(run.used_input(args.input))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def cmd_analyze_yield(args, run: _Run) -> int:
+    spectra = _read(run, args.input, read_array_csvs)
     summary = summarize_yield(spectra, dominance_threshold=args.dominance_threshold)
     rows = [f"{i},{label.value}" for i, label in enumerate(summary.classifications)]
     atomic_write_text(run.out("classifications.csv"),
                       "device,classification\n" + "\n".join(rows) + "\n")
     write_report(run.out("yield.json"), "yield", summary)
-    run.finish()
     print(f"{summary.n_two_peak} of {summary.n_devices} devices show two dominant peaks; "
           f"trion mean {summary.mean_trion_energy:.2f} meV, std {summary.std_trion_energy:.2f} meV")
     return 0
 
 
-def cmd_analyze_efficiency(args) -> int:
-    run = _Run(args, args.out_dir)
+def cmd_analyze_efficiency(args, run: _Run) -> int:
     report = build_efficiency_report(
         detected_rate=args.detected_rate,
         detected_rate_all_lines=args.all_lines_rate
@@ -344,19 +297,13 @@ def cmd_analyze_efficiency(args) -> int:
         sideband_pass=args.sideband_pass,
     )
     write_report(run.out("efficiency.json"), "efficiency", report)
-    run.finish()
     flag = " [inconsistent inputs]" if report.inconsistent else ""
     print(f"source efficiency = {report.source_efficiency:.3f}, "
           f"collection efficiency = {report.collection_efficiency:.3f}{flag}")
     return 0
 
 
-def cmd_reproduce_paper(args) -> int:
-    if args.list:
-        for cid in CRITERION_IDS:
-            print(cid)
-        return 0
-    run = _Run(args, args.out_dir)
+def cmd_reproduce_paper(args, run: _Run) -> int:
     results = []
     failed = False
     for cid in CRITERION_IDS:
@@ -369,12 +316,38 @@ def cmd_reproduce_paper(args) -> int:
             print(f"    {line}")
     write_report(run.out("criteria.json"), "acceptance",
                  {"tolerance_scale": args.tolerance_scale, "results": results})
-    run.finish()
     return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _number(what: str, ok, cast=float):
+    """An argparse type: cast the text and require ok(value), else a usage error."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_POSITIVE = _number("a finite number > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _number("a finite number >= 0", lambda v: 0 <= v < math.inf)
+_FRACTION = _number("a number in (0, 1]", lambda v: 0 < v <= 1)
+_COUNT = _number("a whole number >= 1", lambda v: v >= 1, int)
+
+
+class _ListCriteria(argparse.Action):
+    """--list: print the criterion IDs and exit 0 before any run starts."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print("\n".join(CRITERION_IDS))
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     life = ana_sub.add_parser("lifetime", help="bi-exponential decay fit")
     life.add_argument("--input", required=True, help="click stream (.pstm or .csv)")
     life.add_argument("--out-dir", required=True)
-    life.add_argument("--bin-width", type=float, default=100.0,
+    life.add_argument("--bin-width", type=_POSITIVE, default=100.0,
                       help="histogram bin, ps; with --rep-rate, the nearest width that "
                            "tiles the period in whole bins")
-    life.add_argument("--rep-rate", type=float, default=None,
+    life.add_argument("--rep-rate", type=_POSITIVE, default=None,
                       help="pulse rate in Hz; folds timestamps into one period")
     life.add_argument("--fit-start", type=float, default=None, help="fit window start, ps")
     life.set_defaults(func=cmd_analyze_lifetime)
@@ -410,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     g2p.add_argument("--input", required=True, help="detector 0 stream")
     g2p.add_argument("--input2", required=True, help="detector 1 stream")
     g2p.add_argument("--out-dir", required=True)
-    g2p.add_argument("--rep-rate", type=float, required=True, help="pulse rate, Hz")
-    g2p.add_argument("--bin-width", type=float, default=100.0, help="ps")
-    g2p.add_argument("--n-side-peaks", type=int, default=10)
-    g2p.add_argument("--dip-jitter-fwhm", type=float, default=None,
+    g2p.add_argument("--rep-rate", type=_POSITIVE, required=True, help="pulse rate, Hz")
+    g2p.add_argument("--bin-width", type=_POSITIVE, default=100.0, help="ps")
+    g2p.add_argument("--n-side-peaks", type=_COUNT, default=10)
+    g2p.add_argument("--dip-jitter-fwhm", type=_NON_NEGATIVE, default=None,
                      help="detector jitter FWHM in ps; enables the refill-time fit")
     g2p.set_defaults(func=cmd_analyze_g2)
 
@@ -425,33 +398,35 @@ def build_parser() -> argparse.ArgumentParser:
     lw = ana_sub.add_parser("linewidth", help="lineshape fit and deconvolution")
     lw.add_argument("--input", required=True, help="CSV with detuning_ghz,counts columns")
     lw.add_argument("--out-dir", required=True)
-    lw.add_argument("--etalon-fwhm", type=float, required=True, help="GHz")
-    lw.add_argument("--lifetime", type=float, default=None,
+    lw.add_argument("--etalon-fwhm", type=_POSITIVE, required=True, help="GHz")
+    lw.add_argument("--lifetime", type=_POSITIVE, default=None,
                     help="lifetime in ns; adds coherence metrics to the report")
     lw.set_defaults(func=cmd_analyze_linewidth)
 
     yld = ana_sub.add_parser("yield", help="array spectrum classification")
     yld.add_argument("--input", required=True, help="array index.csv")
     yld.add_argument("--out-dir", required=True)
-    yld.add_argument("--dominance-threshold", type=float, default=0.25)
+    yld.add_argument("--dominance-threshold", type=_FRACTION, default=0.25)
     yld.set_defaults(func=cmd_analyze_yield)
 
     eff = ana_sub.add_parser("efficiency", help="efficiency calculus from rates")
-    eff.add_argument("--detected-rate", type=float, required=True, help="cps, filtered line")
-    eff.add_argument("--all-lines-rate", type=float, default=None,
+    eff.add_argument("--detected-rate", type=_NON_NEGATIVE, required=True,
+                     help="cps, filtered line")
+    eff.add_argument("--all-lines-rate", type=_NON_NEGATIVE, default=None,
                      help="cps over all lines; defaults to --detected-rate")
-    eff.add_argument("--rep-rate", type=float, required=True, help="Hz")
-    eff.add_argument("--eta-t", type=float, required=True)
-    eff.add_argument("--eta-d", type=float, required=True)
-    eff.add_argument("--directionality", type=float, default=0.5)
-    eff.add_argument("--sideband-pass", type=float, default=0.8)
+    eff.add_argument("--rep-rate", type=_POSITIVE, required=True, help="Hz")
+    eff.add_argument("--eta-t", type=_FRACTION, required=True)
+    eff.add_argument("--eta-d", type=_FRACTION, required=True)
+    eff.add_argument("--directionality", type=_FRACTION, default=0.5)
+    eff.add_argument("--sideband-pass", type=_FRACTION, default=0.8)
     eff.add_argument("--out-dir", required=True)
     eff.set_defaults(func=cmd_analyze_efficiency)
 
     rep = sub.add_parser("reproduce-paper", help="run the acceptance criteria")
     rep.add_argument("--out-dir", default="reproduce_out")
-    rep.add_argument("--list", action="store_true", help="print criterion IDs and exit")
-    rep.add_argument("--tolerance-scale", type=float, default=1.0,
+    rep.add_argument("--list", action=_ListCriteria, nargs=0,
+                     help="print criterion IDs and exit")
+    rep.add_argument("--tolerance-scale", type=_POSITIVE, default=1.0,
                      help="multiply every tolerance; below 1 tightens the checks")
     rep.set_defaults(func=cmd_reproduce_paper)
 
@@ -459,18 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the only place one is chosen."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = ["photonstat", *argv]
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help, --version or --list
+        return exc.code
+    kind = getattr(args, "analysis", args.command)
+    try:
+        run = _Run(["photonstat", *argv], args.out_dir)
+        try:
+            rc = args.func(args, run)
+        except (FitError, ValueError, ArithmeticError) as exc:
+            write_report(run.out(f"{kind}.json"), f"{kind}-error",
+                         {"error": type(exc).__name__, "message": str(exc)})
+            print(f"{kind} failed: {exc}", file=sys.stderr)
+            rc = 1
     except InputError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    run.finish()
+    return rc
 
 
 if __name__ == "__main__":

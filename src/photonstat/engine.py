@@ -29,7 +29,7 @@ Model per pulse:
    beta * directionality * sideband_pass * transmission (after the spectral
    filter selects in-band complexes), is routed uniformly among detectors,
    survives detector efficiency, gets Gaussian timing jitter
-   (sigma = fwhm / 2.3548).  Within each partition the click times are
+   (sigma = fwhm / (2 sqrt(2 ln 2))).  Within each partition the click times are
    rounded to whole ps, clamped at 0 and split by detector; each detector's
    clicks are then sorted, and its dead time is applied.
 
@@ -67,7 +67,7 @@ from .model import (
     energy_to_wavelength_nm,
     validate,
 )
-from .numerics import rng_substream
+from .numerics import FWHM_TO_SIGMA, rng_substream
 from .streams import ClickStream, PhotonStream
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
 
 PARTITION_PULSES = 1 << 16
 _BACKGROUND_STREAM_BASE = 1 << 32
-_GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 _CW_CHUNK = 1 << 18
 # An output array is first sized at its first non-empty part scaled to the
 # rest of the run, with _HEADROOM to spare, and an overrun grows it by
@@ -129,7 +128,7 @@ def _emission_and_detection(config: ExperimentConfig):
         in_band=_band_mask(config),
         p_chain=ch.beta * ch.directionality * ch.sideband_pass * ch.transmission,
         eff=np.array([d.efficiency for d in config.detectors]),
-        sigma=np.array([d.jitter_fwhm * _GAUSS_FWHM_TO_SIGMA for d in config.detectors]),
+        sigma=np.array([d.jitter_fwhm * FWHM_TO_SIGMA for d in config.detectors]),
         n_det=len(config.detectors),
     )
     return cum_weights, detect

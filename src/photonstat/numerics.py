@@ -12,6 +12,7 @@ a refit with weights from the fitted model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 import warnings
@@ -31,9 +32,14 @@ __all__ = [
     "SubStream",
     "rng_substream",
     "RNG_ALGORITHM",
+    "FWHM_TO_SIGMA",
 ]
 
 RNG_ALGORITHM = "philox4x64"
+
+# Gaussian sigma per FWHM, 1 / (2 sqrt(2 ln 2)): the exact factor, since the
+# rounded 1 / 2.3548 is too coarse for the exact Voigt evaluator
+FWHM_TO_SIGMA = 1.0 / math.sqrt(8.0 * math.log(2.0))
 
 _MASK64 = (1 << 64) - 1
 

@@ -186,7 +186,7 @@ def read_profile_csv(path) -> LineProfile:
     x, y = read_xy_csv(path, expected_header=("detuning_ghz", "counts"))
     if np.any(np.diff(x) <= 0):
         raise ValueError(f"{path}: detunings must be strictly increasing")
-    return LineProfile(detunings=x, intensities=y, true_params=None)
+    return LineProfile(detunings=x, intensities=y)
 
 
 def write_array_csvs(out_dir, spectra: ArraySpectrumSet) -> list[Path]:

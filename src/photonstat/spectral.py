@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import voigt_profile
 
 from .model import ChargeTag, wavelength_to_energy_mev
-from .numerics import FitError, FitProblem, fit_counts, profile_fwhm, rng_substream
+from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts, profile_fwhm, rng_substream
 
 __all__ = [
     "TrueLine",
@@ -49,10 +49,6 @@ __all__ = [
     "summarize_yield",
 ]
 
-# exact FWHM -> sigma factor; the rounded 2.3548 is too coarse for the
-# exact Voigt evaluator
-_FWHM_TO_SIGMA = 1.0 / math.sqrt(8.0 * math.log(2.0))
-
 _T2_CONVENTION = "T2 = 1/gamma with gamma the homogeneous FWHM in GHz"
 
 
@@ -64,7 +60,7 @@ def lorentzian_profile(x: np.ndarray, fwhm: float) -> np.ndarray:
 
 def gaussian_profile(x: np.ndarray, fwhm: float) -> np.ndarray:
     """Unit-area Gaussian centered at 0."""
-    sigma = fwhm * _FWHM_TO_SIGMA
+    sigma = fwhm * FWHM_TO_SIGMA
     x = np.asarray(x, float)
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
@@ -78,7 +74,7 @@ def voigt_profile_numeric(x: np.ndarray, fwhm_lorentz: float, fwhm_gauss: float)
     if max(fwhm_lorentz, fwhm_gauss) == 0.0:
         raise ValueError("at least one width must be > 0")
     x = np.asarray(x, dtype=float)
-    return voigt_profile(x, fwhm_gauss * _FWHM_TO_SIGMA, fwhm_lorentz / 2.0)
+    return voigt_profile(x, fwhm_gauss * FWHM_TO_SIGMA, fwhm_lorentz / 2.0)
 
 
 def voigt_fwhm(fwhm_lorentz: float, fwhm_gauss: float) -> float:
@@ -112,15 +108,10 @@ class TrueLine:
 
 @dataclass(frozen=True)
 class LineProfile:
-    """One etalon scan: detuning grid in GHz, Poisson-sampled counts.
-
-    true_params is carried only for synthetic scans, so round-trip tests can
-    compare against what was injected.
-    """
+    """One etalon scan: detuning grid in GHz, Poisson-sampled counts."""
 
     detunings: np.ndarray
     intensities: np.ndarray
-    true_params: TrueLine | None = None
 
 
 def scan_etalon(
@@ -161,7 +152,7 @@ def scan_etalon(
     expected = voigt_profile_numeric(detunings - true_line.center, fl, fg)
     expected = expected * (counts_per_point / expected.max())
     counts = rng_substream(seed, 0).poisson(expected).astype(float)
-    return LineProfile(detunings=detunings, intensities=counts, true_params=true_line)
+    return LineProfile(detunings=detunings, intensities=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ def generate_array(
     lam_hi = 1239841.984 / e_lo
     wavelengths = np.arange(lam_lo, lam_hi, 0.01)
     energies = 1239841.984 / wavelengths
-    sigma_e = st.instrumental_fwhm_uev * 1e-3 * _FWHM_TO_SIGMA
+    sigma_e = st.instrumental_fwhm_uev * 1e-3 * FWHM_TO_SIGMA
 
     spectra = []
     notes = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FitError, FitProblem, fit_counts
+from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts
 from .numerics import least_squares  # noqa: F401  perfbench's tests read tcspc.least_squares
 from .streams import ClickStream, PhotonStream, _require_sorted
 
@@ -32,8 +32,6 @@ __all__ = [
     "purity_from_histogram",
     "fit_dip_time",
 ]
-
-_GAUSS_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 # Pre-trigger span of a folded decay, ps: ten FWHMs of the stock 200 ps
 # detector jitter, so the next pulse's jitter-early clicks fold to just
@@ -493,7 +491,7 @@ def fit_dip_time(hist: CorrelationHistogram, jitter_fwhm: float,
 
     Fits the central period of the correlation histogram with a symmetric
     envelope times a saturating dip, convolved with the pair timing jitter
-    (sigma = sqrt(2) * jitter_fwhm / 2.3548 since both clicks jitter
+    (sigma = sqrt(2) * jitter_fwhm / (2 sqrt(2 ln 2)) since both clicks jitter
     independently).  This is forward-model fitting, not inverse filtering.
     Raises DipFitDegenerateError when the zero peak is too empty to carry
     dip structure, FitError when the fit cannot converge.
@@ -513,7 +511,7 @@ def fit_dip_time(hist: CorrelationHistogram, jitter_fwhm: float,
     sel = (hist.delays >= -half) & (hist.delays < half)
     t = hist.delays[sel]
     y = hist.counts[sel].astype(np.float64)
-    sigma_pair = math.sqrt(2.0) * jitter_fwhm * _GAUSS_FWHM_TO_SIGMA
+    sigma_pair = math.sqrt(2.0) * jitter_fwhm * FWHM_TO_SIGMA
     model = _dip_model_factory(hist.bin_width, sigma_pair)
 
     amp0 = float(y.max(initial=1.0))

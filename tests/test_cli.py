@@ -19,6 +19,7 @@ from photonstat.acceptance import _hbt_config
 from photonstat.cli import main
 from photonstat.engine import simulate_clicks
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
+from photonstat.numerics import FitError
 from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_xy_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
 from photonstat.streams import ClickStream, read_clicks_binary, write_clicks_binary
@@ -498,6 +499,71 @@ class TestAnalyze:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.fixture
+    def few_clicks(self, tmp_path):
+        # 200 pulses at 20 MHz, one click each: too few to fit, cheap to bin
+        paths = []
+        for d in (0, 1):
+            ts = np.arange(200, dtype=np.int64) * 50_000 + 700 + d
+            paths.append(tmp_path / f"few{d}.pstm")
+            write_clicks_binary(paths[-1], ClickStream(detector_id=d, timestamps=ts))
+        return paths
+
+    @pytest.mark.parametrize("args", [
+        ["g2", "--rep-rate", "0"],
+        ["g2", "--rep-rate", "20e6", "--dip-jitter-fwhm", "-1"],
+        ["lifetime", "--rep-rate", "0"],
+    ], ids=["g2-rep-rate-0", "g2-negative-jitter", "lifetime-rep-rate-0"])
+    def test_bad_argument_value_is_exit_2_before_any_write(self, tmp_path, few_clicks, args,
+                                                          capsys):
+        # a zero rate once divided by zero (g2) or skipped the fold (lifetime),
+        # and a negative jitter failed only after g2.csv was written
+        out = tmp_path / "x"
+        rc = main(["analyze", *args, "--input", str(few_clicks[0]),
+                   *(["--input2", str(few_clicks[1])] if args[0] == "g2" else []),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("analysis, extra", [
+        ("lifetime", []), ("saturation", []), ("yield", []),
+        ("linewidth", ["--etalon-fwhm", "1.3"]),
+    ])
+    def test_directory_as_input_is_exit_2(self, tmp_path, analysis, extra, capsys):
+        out = tmp_path / "x"
+        rc = main(["analyze", analysis, "--input", str(tmp_path), *extra, "--out-dir", str(out)])
+        assert rc == 2
+        assert _tree(out) == []
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_out_dir_that_is_a_file_is_exit_2(self, tmp_path, few_clicks):
+        (tmp_path / "taken").write_text("")
+        rc = main(["analyze", "lifetime", "--input", str(few_clicks[0]),
+                   "--rep-rate", "20e6", "--out-dir", str(tmp_path / "taken")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("args, error, written", [
+        # too few clicks to fit: the analysis fails, not the input
+        (["lifetime", "--rep-rate", "20e6"], "ValueError", ["decay.csv"]),
+        # a valid rate whose period, 1e12 / rate ps, overflows to infinity
+        (["lifetime", "--rep-rate", "1e-300"], "OverflowError", []),
+        (["g2", "--rep-rate", "1e-300"], "OverflowError", []),
+    ], ids=["too-few-counts", "lifetime-infinite-period", "g2-infinite-period"])
+    def test_analysis_failure_is_exit_1_with_its_report(self, tmp_path, few_clicks, args, error,
+                                                        written, capsys):
+        kind = args[0]
+        out = tmp_path / "x"
+        rc = main(["analyze", *args, "--input", str(few_clicks[0]),
+                   *(["--input2", str(few_clicks[1])] if kind == "g2" else []),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        report = read_report(out / f"{kind}.json")
+        assert report["kind"] == f"{kind}-error"
+        assert report["payload"]["error"] == error
+        assert f"{kind} failed" in capsys.readouterr().err
+        assert _tree(out) == sorted([*written, f"{kind}.json", "manifest.json"])
+
 
 _VALID_PSTM = struct.pack("<4sHHQ", b"PSTM", 1, 0, 3) + struct.pack("<3Q", 10, 20, 30)
 
@@ -525,6 +591,93 @@ def test_truncated_or_re_headed_pstm_is_exit_2(raw):
     assert rc == 2
 
 
+def _assert_exit_contract(rc, out, kind):
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert _tree(out) == []
+    elif rc == 1:
+        assert read_report(out / f"{kind}.json")["kind"] == f"{kind}-error"
+
+
+_ANY_BYTES = st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode))
+
+
+def _xy_text(header):
+    """A header line, then rows of arbitrary floats as Python prints them."""
+    rows = st.lists(st.tuples(st.floats(), st.floats()), max_size=20)
+    return rows.map(lambda r: (",".join(header) + "\n"
+                               + "".join(f"{x!r},{y!r}\n" for x, y in r)).encode())
+
+
+def _scaled_scan(factors):
+    """A 13-point etalon scan with each count scaled by an arbitrary factor."""
+    x = np.linspace(-3.0, 3.0, 13)
+    y = 1e4 / (1.0 + x * x) * np.resize(np.asarray(factors or [1.0]), x.size)
+    lines = ["detuning_ghz,counts", *(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist()))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=25)
+@given(st.one_of(_ANY_BYTES, _xy_text(("power", "rate"))))
+def test_arbitrary_saturation_csv_keeps_the_exit_contract(raw):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "sat.csv").write_bytes(raw)
+        out = Path(d) / "out"
+        rc = main(["analyze", "saturation", "--input", str(Path(d) / "sat.csv"),
+                   "--out-dir", str(out)])
+        _assert_exit_contract(rc, out, "saturation")
+
+
+@settings(max_examples=25)
+@given(st.one_of(_ANY_BYTES, _xy_text(("detuning_ghz", "counts")),
+                 st.lists(st.floats(), max_size=13).map(_scaled_scan)))
+def test_arbitrary_profile_csv_keeps_the_exit_contract(raw):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "profile.csv").write_bytes(raw)
+        out = Path(d) / "out"
+        rc = main(["analyze", "linewidth", "--input", str(Path(d) / "profile.csv"),
+                   "--etalon-fwhm", "1.3", "--out-dir", str(out)])
+        _assert_exit_contract(rc, out, "linewidth")
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(["index.csv", "device_0001.csv"]),
+       st.one_of(_ANY_BYTES, _xy_text(("wavelength_nm", "counts")),
+                 st.lists(st.floats(), min_size=1, max_size=8)))
+def test_arbitrary_yield_file_keeps_the_exit_contract(name, raw):
+    # one file of a three-device array replaced: the index or a spectrum,
+    # the latter also as arbitrary counts on the array's own grid
+    with tempfile.TemporaryDirectory() as d:
+        spectra = generate_array(3, seed=5)
+        paths = write_array_csvs(Path(d) / "arr", spectra)
+        if isinstance(raw, list):
+            grid = spectra.wavelengths_nm
+            write_xy_csv(paths[2], ("wavelength_nm", "counts"), grid, np.resize(raw, grid.size))
+        else:
+            (Path(d) / "arr" / name).write_bytes(raw)
+        out = Path(d) / "out"
+        rc = main(["analyze", "yield", "--input", str(paths[0]), "--out-dir", str(out)])
+        _assert_exit_contract(rc, out, "yield")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=25)
+@given(st.one_of(_ANY_BYTES, _JSON.map(lambda v: json.dumps(v).encode())))
+def test_arbitrary_config_json_keeps_the_exit_contract(raw):
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "cfg.json").write_bytes(raw)
+        out = Path(d) / "out"
+        rc = main(["simulate", "--config", str(Path(d) / "cfg.json"), "--out-dir", str(out)])
+        _assert_exit_contract(rc, out, "simulate")
+
+
 class TestReproduce:
     def test_list_prints_ids_without_writing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -533,6 +686,22 @@ class TestReproduce:
         ids = capsys.readouterr().out.split()
         assert ids == [f"C{i}" for i in range(1, 11)]
         assert _tree(tmp_path) == []
+
+    def test_criterion_fit_error_is_exit_1_with_its_report(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import photonstat.cli as cli_mod
+
+        def fail(cid, tolerance_scale):
+            raise FitError(f"{cid}: fit did not converge")
+
+        monkeypatch.setattr(cli_mod, "run_criterion", fail)
+        out = tmp_path / "r"
+        rc = main(["reproduce-paper", "--out-dir", str(out)])
+        assert rc == 1
+        report = read_report(out / "reproduce-paper.json")
+        assert report["kind"] == "reproduce-paper-error"
+        assert report["payload"] == {"error": "FitError", "message": "C1: fit did not converge"}
+        assert _tree(out) == ["manifest.json", "reproduce-paper.json"]
 
     def test_bad_tolerance_scale_is_input_error(self, tmp_path, capsys):
         rc = main(["reproduce-paper", "--out-dir", str(tmp_path / "r"),
@@ -563,6 +732,22 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "photonstat" in proc.stdout
+
+
+def test_bad_argument_in_a_fresh_process_exits_2_without_traceback(tmp_path):
+    for d in (0, 1):
+        write_clicks_binary(tmp_path / f"d{d}.pstm",
+                            ClickStream(detector_id=d, timestamps=np.arange(3, dtype=np.int64)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonstat.cli", "analyze", "g2",
+         "--input", str(tmp_path / "d0.pstm"), "--input2", str(tmp_path / "d1.pstm"),
+         "--rep-rate", "0", "--out-dir", str(tmp_path / "g2")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--rep-rate" in proc.stderr
 
 
 def test_commands_never_load_scipy_signal_or_stats(tmp_path):
