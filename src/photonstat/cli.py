@@ -70,6 +70,17 @@ class InputError(Exception):
     """User-input problem: exit code 2."""
 
 
+# The most bins a histogram may have (128 MB of int64 counts); a count past
+# it is refused before anything the size of the histogram is allocated.
+MAX_BINS = 2**24
+
+
+def _check_bins(n_bins: int, bin_width: float) -> None:
+    if n_bins > MAX_BINS:
+        raise InputError(f"--bin-width {bin_width:g} ps asks for {n_bins:,} histogram bins, "
+                         f"more than the {MAX_BINS:,} allowed; use a wider --bin-width")
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 
@@ -211,9 +222,15 @@ def cmd_simulate(args, run: _Run) -> int:
 def cmd_analyze_lifetime(args, run: _Run) -> int:
     stream = _read(run, args.input, _read_stream)
     fold = None if args.rep_rate is None else 1e12 / args.rep_rate
-    if fold is not None and round(fold / args.bin_width) < 1:
-        raise InputError(f"bin width {args.bin_width:g} ps leaves no whole bin in the fold "
-                         f"period {fold:g} ps")
+    if fold is not None:
+        n_bins = round(fold / args.bin_width)
+        if n_bins < 1:
+            raise InputError(f"bin width {args.bin_width:g} ps leaves no whole bin in the fold "
+                             f"period {fold:g} ps")
+    else:  # one bin per bin width up to the last click, as build_decay_histogram cuts them
+        last = float(stream.timestamps[-1]) if len(stream) else 0.0
+        n_bins = math.ceil((last + args.bin_width) / args.bin_width)
+    _check_bins(n_bins, args.bin_width)
     hist = build_decay_histogram(stream, bin_width=args.bin_width, fold=fold)
     write_histogram_csv(run.out("decay.csv"), hist)
     fit = fit_biexponential(hist, fit_start=args.fit_start)
@@ -235,6 +252,7 @@ def cmd_analyze_g2(args, run: _Run) -> int:
     s1 = _read(run, args.input2, _read_stream, 1)
     period = 1e12 / args.rep_rate
     window = (args.n_side_peaks + 0.6) * period
+    _check_bins(2 * math.floor(window / args.bin_width) + 1, args.bin_width)
     hist = correlate(s0, s1, bin_width=args.bin_width, window=window, rep_period=period)
     write_histogram_csv(run.out("g2.csv"), hist)
     purity = purity_from_histogram(hist, n_side_peaks=args.n_side_peaks)

@@ -18,8 +18,6 @@ from typing import Callable, Optional, Sequence
 import warnings
 
 import numpy as np
-from scipy import fft
-from scipy.optimize import least_squares as scipy_least_squares
 
 __all__ = [
     "FitError",
@@ -153,6 +151,9 @@ def least_squares(problem: FitProblem) -> FitResult:
 
     if not np.all(np.isfinite(residual(p))):
         raise FitError("model is not finite at the initial parameters")
+    # imported here, so that commands that never fit never load scipy.optimize
+    from scipy.optimize import least_squares as scipy_least_squares
+
     sol = scipy_least_squares(
         residual, p, bounds=(lo, hi), method="trf", x_scale="jac",
         max_nfev=problem.max_iterations, xtol=1e-8,
@@ -239,8 +240,11 @@ def convolve_profiles(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray
                 RuntimeWarning,
                 stacklevel=2,
             )
-    # fftconvolve(f, g, mode="full")'s steps, so its bits, on scipy.fft (which
-    # scipy.optimize loads); all 2n - 1 points, so the window from t = 0 is whole
+    # imported here, so that commands that never convolve never load scipy.fft
+    from scipy import fft
+
+    # fftconvolve(f, g, mode="full")'s steps, so its bits, on scipy.fft; all
+    # 2n - 1 points, so the window from t = 0 is whole
     n = x.size
     size = fft.next_fast_len(2 * n - 1, True)
     return fft.irfft(fft.rfft(f, size) * fft.rfft(g, size), size)[i0 : i0 + n] * dx

@@ -138,22 +138,32 @@ def write_xy_csv(path, header: tuple[str, str], x, y) -> Path:
 
 
 def read_xy_csv(path, expected_header: tuple[str, str] | None = None):
-    """Read a two-column CSV; a non-numeric first line is taken as header."""
+    """Read a two-column CSV; a non-numeric first line is taken as header.
+    A number that parses but is not finite (nan, inf) is a ValueError naming
+    its line."""
     xs: list[float] = []
     ys: list[float] = []
+
+    def append(ln: int, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{path}:{ln}: non-finite number in {x!r},{y!r}")
+        xs.append(x)
+        ys.append(y)
+
     with open(path) as fh:
         first = fh.readline().strip()
         parts = first.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path}: expected two columns, got {first!r}")
         try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             if expected_header is not None and tuple(parts) != expected_header:
                 raise ValueError(
                     f"{path}: expected header {','.join(expected_header)!r}, got {first!r}"
                 ) from None
+        else:
+            append(1, x, y)
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -161,8 +171,7 @@ def read_xy_csv(path, expected_header: tuple[str, str] | None = None):
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected two columns")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
+            append(ln, float(parts[0]), float(parts[1]))
     return np.array(xs), np.array(ys)
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import voigt_profile
 
 from .model import ChargeTag, wavelength_to_energy_mev
 from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts, profile_fwhm, rng_substream
@@ -73,6 +72,9 @@ def voigt_profile_numeric(x: np.ndarray, fwhm_lorentz: float, fwhm_gauss: float)
         raise ValueError("widths must be >= 0")
     if max(fwhm_lorentz, fwhm_gauss) == 0.0:
         raise ValueError("at least one width must be > 0")
+    # imported here, so that commands with no Voigt profile never load scipy.special
+    from scipy.special import voigt_profile
+
     x = np.asarray(x, dtype=float)
     return voigt_profile(x, fwhm_gauss * FWHM_TO_SIGMA, fwhm_lorentz / 2.0)
 

@@ -4,6 +4,7 @@ and the out-dir write boundary."""
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -564,6 +565,68 @@ class TestAnalyze:
         assert f"{kind} failed" in capsys.readouterr().err
         assert _tree(out) == sorted([*written, f"{kind}.json", "manifest.json"])
 
+    @pytest.mark.parametrize("args, n_bins", [
+        (["lifetime", "--rep-rate", "20e6"], 500),  # 50,000 ps period / 100 ps
+        (["lifetime"], 99_508),  # unfolded: ceil((last click 9,950,700 + 100) / 100)
+        (["g2", "--rep-rate", "20e6"], 10_601),  # 2 * floor(10.6 * 50,000 / 100) + 1
+    ], ids=["lifetime-folded", "lifetime-unfolded", "g2"])
+    def test_bin_count_past_the_cap_is_exit_2_before_any_write(
+            self, tmp_path, few_clicks, args, n_bins, monkeypatch, capsys):
+        # --bin-width 1e-3 without --rep-rate once asked np.histogram for
+        # 7.4e11 bins, and g2 at --bin-width 1e-6 asked correlate for 1.06e12;
+        # the cap is lowered here so that no test allocates much
+        import photonstat.cli as cli_mod
+        kind = args[0]
+        inputs = ["--input", str(few_clicks[0]),
+                  *(["--input2", str(few_clicks[1])] if kind == "g2" else [])]
+        monkeypatch.setattr(cli_mod, "MAX_BINS", n_bins - 1)
+        out = tmp_path / "x"
+        assert main(["analyze", *args, *inputs, "--out-dir", str(out)]) == 2
+        assert _tree(out) == []
+        err = capsys.readouterr().err
+        assert f"--bin-width 100 ps asks for {n_bins:,} histogram bins" in err
+        # at the cap the histogram is built, with exactly the bins counted
+        monkeypatch.setattr(cli_mod, "MAX_BINS", n_bins)
+        out = tmp_path / "y"
+        assert main(["analyze", *args, *inputs, "--out-dir", str(out)]) in (0, 1)
+        x, _ = read_xy_csv(out / ("g2.csv" if kind == "g2" else "decay.csv"))
+        assert x.size == n_bins
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_yield_counts_are_exit_2(self, tmp_path, value, capsys):
+        # an all-nan device once exited 0, classified no_emitter
+        paths = write_array_csvs(tmp_path / "arr", generate_array(3, seed=5))
+        lines = paths[2].read_text().splitlines()
+        paths[2].write_text("\n".join([lines[0], *(ln.split(",")[0] + "," + value
+                                                  for ln in lines[1:])]) + "\n")
+        out = tmp_path / "y"
+        assert main(["analyze", "yield", "--input", str(paths[0]), "--out-dir", str(out)]) == 2
+        assert _tree(out) == []
+        assert f"{paths[2]}:2: non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_profile_count_is_exit_2(self, tmp_path, value, capsys):
+        # one bad count once reached the fit and exited 1 with a report
+        path = write_profile_csv(tmp_path / "profile.csv",
+                                 scan_etalon(TrueLine(0.77), etalon_fwhm=1.3, seed=11))
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "lw"
+        assert main(["analyze", "linewidth", "--input", str(path), "--etalon-fwhm", "1.3",
+                     "--out-dir", str(out)]) == 2
+        assert _tree(out) == []
+        assert f"{path}:6: non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_saturation_point_is_exit_2(self, tmp_path, value, capsys):
+        path = tmp_path / "sat.csv"
+        path.write_text(f"power,rate\n0.1,2e4\n0.4,5e4\n{value},8e4\n3.2,9e4\n")
+        out = tmp_path / "sat"
+        assert main(["analyze", "saturation", "--input", str(path), "--out-dir", str(out)]) == 2
+        assert _tree(out) == []
+        assert f"{path}:4: non-finite number" in capsys.readouterr().err
+
 
 _VALID_PSTM = struct.pack("<4sHHQ", b"PSTM", 1, 0, 3) + struct.pack("<3Q", 10, 20, 30)
 
@@ -658,6 +721,37 @@ def test_arbitrary_yield_file_keeps_the_exit_contract(name, raw):
         out = Path(d) / "out"
         rc = main(["analyze", "yield", "--input", str(paths[0]), "--out-dir", str(out)])
         _assert_exit_contract(rc, out, "yield")
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(["saturation", "linewidth", "yield"]),
+       st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)), max_size=12),
+       st.integers(0, 12), st.integers(0, 1), _NON_FINITE)
+def test_a_non_finite_entry_in_any_xy_input_is_exit_2(analysis, rows, at, column, bad):
+    # the contract tests above draw nan and inf among their floats but accept
+    # any exit code; one non-finite entry anywhere must stop the run at its
+    # reader, before any write
+    row = list(rows[at] if at < len(rows) else (1.0, 1.0))
+    row[column] = bad
+    rows.insert(min(at, len(rows)), tuple(row))
+    header = {"saturation": ("power", "rate"), "linewidth": ("detuning_ghz", "counts"),
+              "yield": ("wavelength_nm", "counts")}[analysis]
+    text = ",".join(header) + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "in.csv"
+        path.write_text(text)
+        if analysis == "yield":
+            (Path(d) / "index.csv").write_text("device,file\n0,in.csv\n")
+            path = Path(d) / "index.csv"
+        out = Path(d) / "out"
+        rc = main(["analyze", analysis, "--input", str(path), "--out-dir", str(out),
+                   *(["--etalon-fwhm", "1.3"] if analysis == "linewidth" else [])])
+        assert rc == 2
+        assert _tree(out) == []
 
 
 _JSON = st.recursive(
@@ -770,3 +864,49 @@ def test_commands_never_load_scipy_signal_or_stats(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=300, check=True)
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_only_fitting_commands_load_scipy(tmp_path, config_path):
+    # scipy.optimize and scipy.special (with the scipy.fft, scipy.linalg and
+    # scipy.sparse they pull in) cost every process about 0.45 s and 47 MB,
+    # so they are imported where they are called.  A command that never
+    # fits, convolves or evaluates a Voigt loads none of them; a lifetime
+    # fit loads scipy.optimize.  A fresh process, since pytest loads them.
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "sim")]) == 0
+    stock = dataclasses.replace(paper_device_defaults(), duration=60_000)
+    (tmp_path / "stock.json").write_text(config_to_json(stock))
+    array_csv = write_array_csvs(tmp_path / "arr", generate_array(5, seed=5))[0]
+    commands = {  # run in this order, the lifetime fit last
+        "--version": ["--version"],
+        "reproduce-paper --list": ["reproduce-paper", "--list"],
+        "simulate": ["simulate", "--config", str(tmp_path / "stock.json"),
+                     "--out-dir", str(tmp_path / "s")],
+        "analyze yield": ["analyze", "yield", "--input", str(array_csv),
+                          "--out-dir", str(tmp_path / "y")],
+        "analyze efficiency": ["analyze", "efficiency", "--detected-rate", "1e6",
+                               "--rep-rate", "80e6", "--eta-t", "0.5", "--eta-d", "0.9",
+                               "--out-dir", str(tmp_path / "e")],
+        "analyze lifetime": ["analyze", "lifetime", "--rep-rate", "20e6",
+                             "--input", str(tmp_path / "sim" / "clicks_det0.pstm"),
+                             "--out-dir", str(tmp_path / "life")],
+    }
+    script = (
+        "import json, sys\n"
+        "from photonstat import cli\n"
+        "heavy = ('scipy.fft', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse',\n"
+        "         'scipy.special')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "report = {'import photonstat.cli': [0, loaded()]}\n"
+        f"for name, argv in {commands!r}.items():\n"
+        "    report[name] = [cli.main(argv), loaded()]\n"
+        "print(json.dumps(report))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    report = json.loads(run.stdout.splitlines()[-1])
+    rc, loaded = report.pop("analyze lifetime")
+    # scipy.optimize loads scipy.special and scipy.fft itself
+    assert rc == 0 and "scipy.optimize" in loaded
+    assert report == {name: [0, []] for name in ["import photonstat.cli", *commands][:-1]}

@@ -189,6 +189,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             read_saturation_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("power,rate\n0.1,100\n0.5,nan\n", 3),
+        ("inf,5\n1.0,6\n", 1),
+        ("power,rate\n0.1,100\n\n2.0,-inf\n", 4),
+    ])
+    def test_non_finite_number_is_refused_with_its_line(self, tmp_path, text, line):
+        path = tmp_path / "sat.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"sat.csv:{line}: non-finite number"):
+            read_saturation_csv(path)
+
     def test_histogram_headers_by_kind(self, tmp_path):
         decay = DecayHistogram(
             bin_centers=np.array([50.0]), counts=np.array([1]), bin_width=100.0
