@@ -3,8 +3,8 @@
 
 Simulates a pulsed run, then walks the standard bench sequence: lifetime
 fit from the folded decay, HBT purity from the cross-correlation, and the
-efficiency calculus from the observed count rate.  Prints a one-page
-summary and optionally drops the intermediate curves as CSV.
+observed count rate.  Prints a one-page summary and optionally drops the
+intermediate curves as CSV.
 
 Usage:
     python scripts/characterize_device.py --pulses 2000000 --seed 7 --out-dir runs/demo
@@ -21,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from photonstat.engine import simulate_pulsed
 from photonstat.model import paper_device_defaults
-from photonstat.photometry import build_efficiency_report
 from photonstat.report import write_histogram_csv
 from photonstat.tcspc import (
     build_decay_histogram,
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
     photons, clicks = simulate_pulsed(config)
     det0, det1 = clicks
     n_clicks = det0.timestamps.size + det1.timestamps.size
-    duration_s = args.pulses / args.rep_rate
+    rate = n_clicks * args.rep_rate / args.pulses
     print(f"  {photons.pulse_index.size:,} photons emitted, "
           f"{n_clicks:,} clicks detected")
 
@@ -95,22 +94,6 @@ def main(argv=None) -> int:
     g2 = correlate(det0, det1, bin_width=args.bin_width,
                    window=10.6 * period_ps, rep_period=period_ps)
     purity = purity_from_histogram(g2)
-
-    # Efficiency calculus from the observed rate and the chain factors the
-    # run was configured with.
-    chain = config.chain
-    eta_t = chain.beta * chain.directionality * chain.sideband_pass * chain.transmission
-    eta_d = config.detectors[0].efficiency
-    rate = n_clicks / duration_s
-    eff = build_efficiency_report(
-        detected_rate=rate,
-        detected_rate_all_lines=rate,
-        rep_rate=args.rep_rate,
-        eta_t=chain.transmission,
-        eta_d=eta_d,
-        directionality=chain.directionality,
-        sideband_pass=chain.sideband_pass,
-    )
 
     print()
     print("lifetime fit (folded decay)")
@@ -130,15 +113,9 @@ def main(argv=None) -> int:
     print(f"  mean side peak  {purity.mean_side_peak_area:8.1f} counts "
           f"({purity.n_side_peaks} peaks per side)")
     print()
-    print("rates and efficiency")
+    print("rates")
     print(f"  detected rate   {rate / 1e3:8.1f} kcps")
     print(f"  ideal rate      {args.rep_rate / 1e3:8.1f} kcps (one photon per pulse)")
-    print(f"  source eff.     {eff.source_efficiency:8.4f}  "
-          f"(chain transmission {chain.transmission:.3f}, detector {eta_d:.2f})")
-    print(f"  collection eff. {eff.collection_efficiency:8.4f}  "
-          f"(directionality {chain.directionality:.2f}, "
-          f"sideband pass {chain.sideband_pass:.2f})")
-    print(f"  overall chain   {eta_t * eta_d:8.5f}  (product of all survival factors)")
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

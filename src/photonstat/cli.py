@@ -8,9 +8,10 @@ the only output carrying a wall time; data and report files are byte-stable
 under reruns with the same seed.
 
 Exit codes are decided in :func:`main` alone.  2: a usage error, a bad
-argument value (checked at parse time) or an input that cannot be read
-(:func:`_read`); no file is written.  1: a criterion failed, or an analysis
-or criterion raised; the run then writes ``<kind>.json`` of kind
+argument value (checked at parse time), an input that cannot be read
+(:func:`_read`) or a histogram the arguments cannot make
+(:func:`_histogram`); no file is written.  1: a criterion failed, or an
+analysis or criterion raised; the run then writes ``<kind>.json`` of kind
 ``<kind>-error`` and its manifest.  0: success.
 """
 
@@ -70,17 +71,6 @@ class InputError(Exception):
     """User-input problem: exit code 2."""
 
 
-# The most bins a histogram may have (128 MB of int64 counts); a count past
-# it is refused before anything the size of the histogram is allocated.
-MAX_BINS = 2**24
-
-
-def _check_bins(n_bins: int, bin_width: float) -> None:
-    if n_bins > MAX_BINS:
-        raise InputError(f"--bin-width {bin_width:g} ps asks for {n_bins:,} histogram bins, "
-                         f"more than the {MAX_BINS:,} allowed; use a wider --bin-width")
-
-
 # ---------------------------------------------------------------------------
 # Manifest
 
@@ -135,6 +125,18 @@ def _read(run: _Run, path, reader, *args):
         raise InputError(f"{path}: {exc}") from exc
     run.inputs.append(str(path))
     return value
+
+
+def _histogram(args, builder, *streams, **kwargs):
+    """builder(*streams, bin_width=args.bin_width, **kwargs).  On parsed
+    arguments the builders raise ValueError only where the bin width does not
+    suit the period or window (no whole bin, too many bins) or the window
+    passes the int64 timestamp range: InputError."""
+    try:
+        return builder(*streams, bin_width=args.bin_width, **kwargs)
+    except ValueError as exc:
+        raise InputError(f"--bin-width {args.bin_width:g} ps with --rep-rate "
+                         f"{args.rep_rate:g} Hz: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +223,7 @@ def cmd_simulate(args, run: _Run) -> int:
 
 def cmd_analyze_lifetime(args, run: _Run) -> int:
     stream = _read(run, args.input, _read_stream)
-    fold = None if args.rep_rate is None else 1e12 / args.rep_rate
-    if fold is not None:
-        n_bins = round(fold / args.bin_width)
-        if n_bins < 1:
-            raise InputError(f"bin width {args.bin_width:g} ps leaves no whole bin in the fold "
-                             f"period {fold:g} ps")
-    else:  # one bin per bin width up to the last click, as build_decay_histogram cuts them
-        last = float(stream.timestamps[-1]) if len(stream) else 0.0
-        n_bins = math.ceil((last + args.bin_width) / args.bin_width)
-    _check_bins(n_bins, args.bin_width)
-    hist = build_decay_histogram(stream, bin_width=args.bin_width, fold=fold)
+    hist = _histogram(args, build_decay_histogram, stream, fold=1e12 / args.rep_rate)
     write_histogram_csv(run.out("decay.csv"), hist)
     fit = fit_biexponential(hist, fit_start=args.fit_start)
     write_xy_csv(run.out("decay_fit.csv"), ("time_ps", "model_counts"), hist.bin_centers,
@@ -251,9 +243,8 @@ def cmd_analyze_g2(args, run: _Run) -> int:
     s0 = _read(run, args.input, _read_stream, 0)
     s1 = _read(run, args.input2, _read_stream, 1)
     period = 1e12 / args.rep_rate
-    window = (args.n_side_peaks + 0.6) * period
-    _check_bins(2 * math.floor(window / args.bin_width) + 1, args.bin_width)
-    hist = correlate(s0, s1, bin_width=args.bin_width, window=window, rep_period=period)
+    hist = _histogram(args, correlate, s0, s1, window=(args.n_side_peaks + 0.6) * period,
+                      rep_period=period)
     write_histogram_csv(run.out("g2.csv"), hist)
     purity = purity_from_histogram(hist, n_side_peaks=args.n_side_peaks)
     payload = {"purity": purity, "dip_time_ps": None, "dip_note": None}
@@ -390,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     life.add_argument("--input", required=True, help="click stream (.pstm or .csv)")
     life.add_argument("--out-dir", required=True)
     life.add_argument("--bin-width", type=_POSITIVE, default=100.0,
-                      help="histogram bin, ps; with --rep-rate, the nearest width that "
-                           "tiles the period in whole bins")
-    life.add_argument("--rep-rate", type=_POSITIVE, default=None,
+                      help="histogram bin, ps; the nearest width that tiles the period "
+                           "in whole bins")
+    life.add_argument("--rep-rate", type=_POSITIVE, required=True,
                       help="pulse rate in Hz; folds timestamps into one period")
     life.add_argument("--fit-start", type=float, default=None, help="fit window start, ps")
     life.set_defaults(func=cmd_analyze_lifetime)

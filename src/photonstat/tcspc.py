@@ -22,7 +22,6 @@ from .streams import ClickStream, PhotonStream, _require_sorted
 __all__ = [
     "DecayHistogram",
     "DecayFit",
-    "DecayFitError",
     "CorrelationHistogram",
     "PurityReport",
     "DipFitDegenerateError",
@@ -40,6 +39,10 @@ __all__ = [
 _FOLD_PRE_TRIGGER = 2_000.0
 
 _INT64 = np.iinfo(np.int64)
+
+# The most bins a histogram may have (128 MB of int64 counts); a count past
+# it is refused before anything the size of the histogram is allocated.
+MAX_BINS = 2**24
 
 # Fewer counts than this leave a bi-exponential fit unstable.
 _MIN_DECAY_COUNTS = 1000
@@ -96,14 +99,6 @@ class DecayFit:
         )
 
 
-class DecayFitError(FitError):
-    """Decay fit did not converge; last_fit holds the final iterate."""
-
-    def __init__(self, message: str, last_fit: "DecayFit"):
-        super().__init__(message)
-        self.last_fit = last_fit
-
-
 @dataclass(frozen=True)
 class CorrelationHistogram:
     """Cross-correlation counts on centered delay bins (ps). The middle bin
@@ -138,6 +133,12 @@ class DipFitDegenerateError(RuntimeError):
         self.g2_zero = g2_zero
 
 
+def _check_bins(n_bins: int, bin_width: float) -> None:
+    if n_bins > MAX_BINS:
+        raise ValueError(f"bin width {bin_width:g} ps asks for {n_bins:,} histogram bins, "
+                         f"more than the {MAX_BINS:,} allowed")
+
+
 def build_decay_histogram(events, bin_width: float, window: float | None = None,
                           fold: float | None = None) -> DecayHistogram:
     """Histogram event times (ps) into pulse-relative bins.
@@ -155,7 +156,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     negative times.  window is the histogram span from its first edge (-pre
     when folding, else 0) and defaults to the folded period or the latest
     event.  Empty input produces an empty histogram, which the fit rejects
-    later.
+    later.  More than MAX_BINS bins raise ValueError.
     """
     if isinstance(events, PhotonStream):
         times = np.asarray(events.emission_time, dtype=np.float64)
@@ -183,6 +184,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
             window = float(times.max()) + bin_width if times.size else bin_width
         n_bins = max(int(math.ceil(window / bin_width)), 1)
         hi_edge = n_bins * bin_width - pre
+    _check_bins(n_bins, bin_width)
     counts, edges = np.histogram(times, bins=n_bins, range=(-pre, hi_edge))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayHistogram(bin_centers=centers, counts=counts.astype(np.int64), bin_width=bin_width)
@@ -209,8 +211,8 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None) -> D
     :func:`~photonstat.numerics.fit_counts`.  The fit starts two bins after
     the histogram peak unless fit_start (ps) says otherwise; starting past
     the peak keeps instrument-response distortion out of the lifetime
-    estimate.  Raises ValueError below 1000 counts; an iteration-capped fit
-    comes back with converged=False rather than raising.  When the two
+    estimate.  Raises ValueError below 1000 counts, and FitError when the
+    fit stops at its iteration cap without converging.  When the two
     components are not separable, or the bi-exponential fit fails, a single
     exponential is fitted instead and the result says so in its model field.
     """
@@ -322,10 +324,12 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None) -> D
         cov[np.ix_([0, 1, 4], [0, 1, 4])] = result.covariance
         n_params = 3
         model = "single_exponential"
+    if not result.converged:
+        raise FitError(f"decay fit did not converge: {result.message}")
     # ps -> ns for the lifetime entries
     scale = np.array([1.0, 1e-3, 1.0, 1e-3, 1.0])
     cov = cov * np.outer(scale, scale)
-    fit = DecayFit(
+    return DecayFit(
         tau_fast=tf * 1e-3,
         tau_slow=ts * 1e-3,
         amplitude_fast=a,
@@ -338,9 +342,6 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None) -> D
         message=result.message,
         model=model,
     )
-    if not result.converged:
-        raise DecayFitError(f"decay fit did not converge: {result.message}", fit)
-    return fit
 
 
 def _timestamps(stream) -> np.ndarray:
@@ -366,16 +367,20 @@ def correlate(start, stop, bin_width: float, window: float,
     and delays are computed on the integer timestamps, so each delay is
     exact for any int64 timestamps and is rounded to float only to be
     binned.  rep_period (ps) tags pulsed data and enables the peak-area
-    metrics downstream.
+    metrics downstream.  More than MAX_BINS bins raise ValueError.
     """
     a = _timestamps(start)
     b = _timestamps(stop)
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
     if window < bin_width:
-        raise ValueError("window must cover at least one bin")
+        raise ValueError(f"window {window:g} ps must cover at least one bin of "
+                         f"{bin_width:g} ps")
+    if rep_period is not None and rep_period <= 0:
+        raise ValueError("rep_period must be > 0 when given")
     half = int(math.floor(window / bin_width))
     n_bins = 2 * half + 1
+    _check_bins(n_bins, bin_width)
     counts = np.zeros(n_bins, dtype=np.int64)
     # integer bounds: the pair (a, b) is in the window iff lo_off <= b - a < hi_off
     lo_off = math.ceil(-(half + 0.5) * bin_width)
@@ -400,8 +405,6 @@ def correlate(start, stop, bin_width: float, window: float,
         k = k[(k >= 0) & (k < n_bins)]
         counts += np.bincount(k, minlength=n_bins)
     delays = (np.arange(n_bins) - half) * bin_width
-    if rep_period is not None and rep_period <= 0:
-        raise ValueError("rep_period must be > 0 when given")
     return CorrelationHistogram(delays=delays, counts=counts, bin_width=bin_width,
                                 rep_period=rep_period)
 

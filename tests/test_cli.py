@@ -497,7 +497,7 @@ class TestAnalyze:
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         rc = main(["analyze", "lifetime", "--input", str(tmp_path / "no.pstm"),
-                   "--out-dir", str(tmp_path / "x")])
+                   "--rep-rate", "20e6", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
     @pytest.fixture
@@ -528,7 +528,7 @@ class TestAnalyze:
         assert "error: argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("analysis, extra", [
-        ("lifetime", []), ("saturation", []), ("yield", []),
+        ("lifetime", ["--rep-rate", "20e6"]), ("saturation", []), ("yield", []),
         ("linewidth", ["--etalon-fwhm", "1.3"]),
     ])
     def test_directory_as_input_is_exit_2(self, tmp_path, analysis, extra, capsys):
@@ -567,30 +567,44 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("args, n_bins", [
         (["lifetime", "--rep-rate", "20e6"], 500),  # 50,000 ps period / 100 ps
-        (["lifetime"], 99_508),  # unfolded: ceil((last click 9,950,700 + 100) / 100)
         (["g2", "--rep-rate", "20e6"], 10_601),  # 2 * floor(10.6 * 50,000 / 100) + 1
-    ], ids=["lifetime-folded", "lifetime-unfolded", "g2"])
+    ], ids=["lifetime-folded", "g2"])
     def test_bin_count_past_the_cap_is_exit_2_before_any_write(
             self, tmp_path, few_clicks, args, n_bins, monkeypatch, capsys):
-        # --bin-width 1e-3 without --rep-rate once asked np.histogram for
-        # 7.4e11 bins, and g2 at --bin-width 1e-6 asked correlate for 1.06e12;
-        # the cap is lowered here so that no test allocates much
-        import photonstat.cli as cli_mod
+        # g2 at --bin-width 1e-6 once asked correlate for 1.06e12 bins; the
+        # cap is lowered here so that no test allocates much
+        import photonstat.tcspc as tcspc
         kind = args[0]
         inputs = ["--input", str(few_clicks[0]),
                   *(["--input2", str(few_clicks[1])] if kind == "g2" else [])]
-        monkeypatch.setattr(cli_mod, "MAX_BINS", n_bins - 1)
+        monkeypatch.setattr(tcspc, "MAX_BINS", n_bins - 1)
         out = tmp_path / "x"
         assert main(["analyze", *args, *inputs, "--out-dir", str(out)]) == 2
         assert _tree(out) == []
         err = capsys.readouterr().err
-        assert f"--bin-width 100 ps asks for {n_bins:,} histogram bins" in err
+        assert err.startswith("--bin-width 100 ps")
+        assert f"asks for {n_bins:,} histogram bins" in err
         # at the cap the histogram is built, with exactly the bins counted
-        monkeypatch.setattr(cli_mod, "MAX_BINS", n_bins)
+        monkeypatch.setattr(tcspc, "MAX_BINS", n_bins)
         out = tmp_path / "y"
         assert main(["analyze", *args, *inputs, "--out-dir", str(out)]) in (0, 1)
         x, _ = read_xy_csv(out / ("g2.csv" if kind == "g2" else "decay.csv"))
         assert x.size == n_bins
+
+    @pytest.mark.parametrize("args, named", [
+        # the 530,000 ps window holds no 600,000 ps bin: once exit 1 with a g2.json
+        (["g2", "--rep-rate", "20e6", "--bin-width", "600000"], "--bin-width 600000 ps"),
+        # unfolded, absolute click times once made a histogram as long as the run
+        (["lifetime"], "--rep-rate"),
+    ], ids=["g2-bin-wider-than-window", "lifetime-without-rep-rate"])
+    def test_histogram_argument_misfit_is_exit_2_before_any_write(self, tmp_path, few_clicks,
+                                                                  args, named, capsys):
+        out = tmp_path / "x"
+        assert main(["analyze", *args, "--input", str(few_clicks[0]),
+                     *(["--input2", str(few_clicks[1])] if args[0] == "g2" else []),
+                     "--out-dir", str(out)]) == 2
+        assert _tree(out) == []
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_yield_counts_are_exit_2(self, tmp_path, value, capsys):

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from photonstat.engine import simulate_pulsed
 from photonstat.model import ChargeComplex, ChargeTag, DetectorSpec, paper_device_defaults
-from photonstat.numerics import FitError, rng_substream
+from photonstat.numerics import rng_substream
 from photonstat.streams import ClickStream
+import photonstat.tcspc as tcspc
 from photonstat.tcspc import (
     CorrelationHistogram,
-    DecayFitError,
     DipFitDegenerateError,
     build_decay_histogram,
     correlate,
@@ -107,6 +107,19 @@ class TestBuildHistogram:
         assert build_decay_histogram(np.array([100.0]), bin_width=90_000.0,
                                      fold=50_000.0).bin_centers.size == 1
 
+    @pytest.mark.parametrize("kwargs, n_bins", [
+        ({"fold": 50_000.0}, 500),  # 50,000 ps period / 100 ps
+        ({}, 100),  # unfolded: ceil((last event 9,900 + 100) / 100)
+        ({"window": 2_000.0}, 20),
+    ], ids=["folded", "unfolded", "window"])
+    def test_bin_count_past_the_cap_rejected(self, kwargs, n_bins, monkeypatch):
+        events = np.array([100.0, 9_900.0])
+        monkeypatch.setattr(tcspc, "MAX_BINS", n_bins - 1)
+        with pytest.raises(ValueError, match=f"bin width 100 ps asks for {n_bins:,} histogram"):
+            build_decay_histogram(events, bin_width=100.0, **kwargs)
+        monkeypatch.setattr(tcspc, "MAX_BINS", n_bins)
+        assert build_decay_histogram(events, bin_width=100.0, **kwargs).counts.size == n_bins
+
     def test_accepts_click_stream(self):
         stream = ClickStream(detector_id=0, timestamps=np.array([100, 200, 300]))
         hist = build_decay_histogram(stream, bin_width=100.0)
@@ -189,18 +202,6 @@ class TestBiexponentialFit:
         fit = fit_biexponential(hist, fit_start=2_000.0)
         assert fit.tau_fast == pytest.approx(1.5, rel=0.02)
         assert fit.fit_start >= 2_000.0
-
-    def test_error_carries_last_iterate(self):
-        fit = fit_biexponential(
-            build_decay_histogram(
-                _biexp_events(5_000, 1500.0, 30_000.0, 0.1, seed=26),
-                bin_width=100.0,
-                window=100_000.0,
-            )
-        )
-        err = DecayFitError("did not settle", fit)
-        assert err.last_fit is fit
-        assert isinstance(err, FitError)
 
     def test_folded_window_shorter_than_slow_lifetime(self):
         # Folding a 30 ns tail into a 50 ns period leaves the slow
@@ -301,6 +302,21 @@ class TestCorrelate:
     def test_window_narrower_than_bin_rejected(self):
         with pytest.raises(ValueError, match="window"):
             correlate(np.array([1]), np.array([2]), bin_width=100.0, window=10.0)
+
+    def test_bin_count_past_the_cap_rejected(self, monkeypatch):
+        # 2 * floor(1,000 / 100) + 1 bins
+        monkeypatch.setattr(tcspc, "MAX_BINS", 20)
+        with pytest.raises(ValueError, match="bin width 100 ps asks for 21 histogram bins"):
+            correlate(np.array([1]), np.array([2]), bin_width=100.0, window=1_000.0)
+        monkeypatch.setattr(tcspc, "MAX_BINS", 21)
+        assert correlate(np.array([1]), np.array([2]), bin_width=100.0,
+                         window=1_000.0).counts.size == 21
+
+    def test_bad_rep_period_rejected_before_the_bins_are_counted(self, monkeypatch):
+        monkeypatch.setattr(tcspc, "MAX_BINS", 1)
+        with pytest.raises(ValueError, match="rep_period"):
+            correlate(np.array([1]), np.array([2]), bin_width=100.0, window=1_000.0,
+                      rep_period=0.0)
 
     @pytest.mark.parametrize("window, delay_bin", [(1_000.0, 100.0), (100.0, 100.0)])
     def test_delays_past_2_53_ps_are_exact(self, window, delay_bin):
