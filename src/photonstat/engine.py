@@ -34,21 +34,25 @@ Model per pulse:
    clicks are then sorted, and its dead time is applied.
 
 Each partition pre-draws five arrays (excite, complex, dark, delay,
-reservoir) and computes every candidate pulse's outcome with array
-operations.  A Python loop visits only the accepted candidates whose
-reservoir is still alive at their emission (they make the scalar
-re-excitation draws, in pulse order) or whose emission comes after the
-next candidate's pulse (they may block it); everything between two visits
-is accepted in bulk.  The draws, their order and the float expressions are
-those of a plain pulse-by-pulse loop, so the output is unchanged bit for
-bit; ``tests/test_engine.py`` keeps that loop as a reference.
+reservoir), keeps only the entries of its candidate pulses, and computes
+every candidate's outcome with array operations.  A Python loop visits
+only the accepted candidates whose reservoir is still alive at their
+emission (they make the scalar re-excitation draws, in pulse order) or
+whose emission comes after the next candidate's pulse (they may block it);
+everything between two visits is accepted in bulk.  The draws, their
+order and the float expressions are those of a plain pulse-by-pulse loop,
+so the output is unchanged bit for bit; ``tests/test_engine.py`` keeps
+that loop as a reference.
 
 Two entry points share one partition loop.  ``simulate_pulsed`` copies
 each partition's photons and clicks into one output array per photon column
 and per detector, grown in place, so no partition's arrays outlive it.
-``simulate_clicks`` keeps only the clicks, bit for bit the same, for the
-callers that discard the photons: the photon columns hold 19 bytes per
-emitted photon, against 8 per click.
+``simulate_clicks`` keeps only the clicks, bit for bit the same: the photon
+columns hold 19 bytes per emitted photon, against 8 per click.  It hands
+each partition's photons to an optional consumer before it draws the next
+partition, so a caller that streams or counts the photons (``photonstat
+simulate`` writes ``photons.csv`` this way) holds one partition of them at
+a time.
 """
 
 from __future__ import annotations
@@ -177,22 +181,22 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     A candidate between two visited ones is accepted in bulk: the dot is
     free at its pulse and frees again before the next candidate's pulse.
     """
-    u_exc = gen.uniform(n)
-    u_cx = gen.uniform(n)
-    u_dark = gen.uniform(n)
-    e_delay = gen.exponential(1.0, n)
-    e_res = gen.exponential(1.0, n)
+    # each array keeps only its candidates' entries once drawn, and is
+    # freed once used
+    cand = np.flatnonzero(gen.uniform(n) < p_exc)
+    u_cx = gen.uniform(n)[cand]
+    dark = gen.uniform(n)[cand] < dark_fraction
+    e_delay = gen.exponential(1.0, n)[cand]
+    e_res = gen.exponential(1.0, n)[cand]
 
-    cand = np.nonzero(u_exc < p_exc)[0]
     n_cand = cand.size
     t_p = (start_pulse + cand) * period_ps
-    delay = np.where(u_dark[cand] < dark_fraction,
-                     e_delay[cand] * tau_slow_ps, e_delay[cand] * tau_fast_ps)
-    t_e = t_p + delay
+    t_e = t_p + np.where(dark, e_delay * tau_slow_ps, e_delay * tau_fast_ps)
     if p_rc > 0.0:
-        res_death = t_p + e_res[cand] * rc_ps
+        res_death = t_p + e_res * rc_ps
     else:
         res_death = np.full(n_cand, -np.inf)
+    del dark, e_delay, e_res
     # visited: the reservoir outlives the emission, or the emission blocks
     # the next candidate's pulse
     visit = t_e < res_death
@@ -241,11 +245,14 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
                 t_p_list = t_p.tolist()
             k = bisect_left(t_p_list, te, k)
             blocked[s + 1:k] = True
+    # the walk's lists hold tens of bytes per entry: free them before the
+    # output is built
+    del visit_list, visit_tp, visit_te, visit_res, visit_next_tp, t_p_list
 
     accepted = np.flatnonzero(~blocked)
     pos = accepted
     rel = t_e[accepted] - t_p[accepted]
-    cx = np.searchsorted(cum_weights, u_cx[cand[accepted]], side="right").astype(np.int16)
+    cx = np.searchsorted(cum_weights, u_cx[accepted], side="right").astype(np.int16)
     re = np.zeros(accepted.size, dtype=bool)
     if chain_pos:
         pos = np.concatenate([accepted, chain_pos])
@@ -362,12 +369,19 @@ def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickS
     return photons, streams
 
 
-def simulate_clicks(config: ExperimentConfig) -> list[ClickStream]:
+def simulate_clicks(config: ExperimentConfig, on_photons=None) -> list[ClickStream]:
     """The click streams of ``simulate_pulsed(config)``, bit for bit, without
     keeping the photons: each partition's photon columns are dropped once
-    its clicks are drawn."""
+    its clicks are drawn.
+
+    ``on_photons``, if given, is called with each partition's photons as a
+    ``PhotonStream``, in pulse order, before the next partition is drawn;
+    together they are the photons of ``simulate_pulsed(config)``."""
+    tags = tuple(cx.tag for cx in config.emitter.complexes)
     clicks = [_GrowingArray(np.int64) for _ in config.detectors]
-    for _, click_parts, parts_left in _pulsed_partitions(config):
+    for photon_parts, click_parts, parts_left in _pulsed_partitions(config):
+        if on_photons is not None:
+            on_photons(PhotonStream(*photon_parts, complex_tags=tags))
         for out, part in zip(clicks, click_parts):
             out.append(part, parts_left)
     return _assemble_clicks(config, clicks)

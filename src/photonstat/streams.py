@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +34,7 @@ __all__ = [
     "read_clicks_binary",
     "read_clicks_csv",
     "write_photons_csv",
+    "photons_csv_writer",
     "read_photons_csv",
     "stream_digest",
 ]
@@ -145,21 +148,35 @@ def read_clicks_csv(path, detector_id: int = 0) -> ClickStream:
     return ClickStream(detector_id=detector_id, timestamps=np.sort(ts))
 
 
-def write_photons_csv(path, photons: PhotonStream) -> None:
+def _write_photon_rows(fh, photons: PhotonStream) -> None:
+    """Append the CSV rows of ``photons`` to the open text file ``fh``."""
     # the text after the time, indexed by 2 * complex_index + is_reexcitation
     tails = [f",{t.value},{r}\n" for t in photons.complex_tags for r in (0, 1)]
+    # Plain Python scalars from .tolist(): repr of a float is the shortest
+    # string that parses back to the same bits, so the file round-trips
+    # exactly.  Batches bound the text held at once.
+    for s in range(0, len(photons), _CSV_BATCH):
+        e = s + _CSV_BATCH
+        tail_index = (2 * photons.complex_index[s:e].astype(np.int64)
+                      + photons.is_reexcitation[s:e])
+        rows = zip(photons.pulse_index[s:e].tolist(), photons.emission_time[s:e].tolist(),
+                   tail_index.tolist())
+        fh.write("".join([f"{p},{t!r}{tails[k]}" for p, t, k in rows]))
+
+
+@contextmanager
+def photons_csv_writer(path):
+    """Open ``path`` as a photon CSV, write its header, and yield a function
+    that appends the rows of each ``PhotonStream`` it is given, so a run's
+    photons can be written part by part."""
     with open(path, "w") as fh:
         fh.write(_PHOTON_HEADER + "\n")
-        # Plain Python scalars from .tolist(): repr of a float is the
-        # shortest string that parses back to the same bits, so the file
-        # round-trips exactly.  Batches bound the text held at once.
-        for s in range(0, len(photons), _CSV_BATCH):
-            e = s + _CSV_BATCH
-            tail_index = (2 * photons.complex_index[s:e].astype(np.int64)
-                          + photons.is_reexcitation[s:e])
-            rows = zip(photons.pulse_index[s:e].tolist(), photons.emission_time[s:e].tolist(),
-                       tail_index.tolist())
-            fh.write("".join([f"{p},{t!r}{tails[k]}" for p, t, k in rows]))
+        yield partial(_write_photon_rows, fh)
+
+
+def write_photons_csv(path, photons: PhotonStream) -> None:
+    with photons_csv_writer(path) as write_rows:
+        write_rows(photons)
 
 
 def read_photons_csv(path) -> PhotonStream:

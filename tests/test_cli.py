@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from photonstat import engine
 from photonstat.acceptance import _hbt_config
 from photonstat.cli import main
 from photonstat.engine import simulate_clicks
@@ -200,6 +201,56 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_engine_failure_mid_run_leaves_no_photons_csv(self, tmp_path, config_path,
+                                                          monkeypatch):
+        # photons.csv is written while the engine runs: the first partition's
+        # rows are on disk when the second is drawn, and a failure there
+        # removes them
+        out = tmp_path / "sim"
+        partition = engine._simulate_partition
+
+        def fails_once_rows_are_on_disk(*args):
+            if any(p.read_text().count("\n") > 1 for p in out.glob(".photons.csv.tmp-*")):
+                raise ValueError("second partition failed")
+            return partition(*args)
+
+        monkeypatch.setattr(engine, "_simulate_partition", fails_once_rows_are_on_disk)
+        rc = main(["simulate", "--config", str(config_path), "--out-dir", str(out),
+                   "--set", "duration=100000"])
+        assert rc == 1
+        assert _tree(out) == ["config.json", "manifest.json", "simulate.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {p.rsplit("/", 1)[-1] for p in manifest["outputs"]}
+        assert listed == {"config.json", "simulate.json"}
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_rss_does_not_grow_with_the_photon_count(self, tmp_path):
+        # photons.csv is written partition by partition, so a run holds one
+        # partition's photons.  Keeping the run's photon columns (19 B per
+        # photon) until the end raised the peak by 12.7 MB from 100k to 1M
+        # stock pulses; streaming raises it by about 1.5 MB.  Each run is a
+        # fresh process and reads its own peak, VmHWM: its ru_maxrss starts
+        # at the RSS of the process that spawned it, here pytest's.
+        cfg = tmp_path / "stock.json"
+        cfg.write_text(config_to_json(paper_device_defaults()))
+        script = ("import sys\n"
+                  "from photonstat.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(status.split('VmHWM:')[1].split()[0])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        peak = {}
+        for n in (100_000, 1_000_000):
+            run = subprocess.run(
+                [sys.executable, "-c", script, "simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / str(n)), "--set", f"duration={n}"],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            peak[n] = 1024 * int(run.stdout.split()[-1])
+        with open(tmp_path / "1000000" / "photons.csv", "rb") as fh:
+            photons = sum(1 for _ in fh) - 1
+        rise, budget = peak[1_000_000] - peak[100_000], 0.5 * 19 * photons
+        assert rise < budget, f"peak RSS rose {rise} B; half the photon columns is {budget} B"
 
     def test_stock_defaults_million_pulse_smoke(self, tmp_path):
         # The factory device as-is: a million pulses through the lossy
