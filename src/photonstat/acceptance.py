@@ -170,9 +170,9 @@ def criterion_c1(scale: float = 1.0) -> CriterionResult:
 def criterion_c2(scale: float = 1.0) -> CriterionResult:
     m = coherence_metrics(0.77, 1.7)
     checks = [
-        _check("transform_limit(0.77 GHz, 1.7 ns)", m.transform_limit, 0.094, 0.001 * scale),
-        _check("broadening_ratio(0.77 GHz, 1.7 ns)", m.broadening_ratio, 8.2, 0.1 * scale),
-        _check("t2(0.4 GHz)", coherence_metrics(0.4, 1.7).t2_ns, 2.5, 1e-9 * scale),
+        _check("transform_limit(0.77 GHz, 1.7 ns)", m["transform_limit"], 0.094, 0.001 * scale),
+        _check("broadening_ratio(0.77 GHz, 1.7 ns)", m["broadening_ratio"], 8.2, 0.1 * scale),
+        _check("t2(0.4 GHz)", coherence_metrics(0.4, 1.7)["t2_ns"], 2.5, 1e-9 * scale),
     ]
     return _result("C2", "coherence metrics", checks)
 
@@ -232,7 +232,7 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     hist = correlate(clicks[0], clicks[1], bin_width=10.0, window=10.6 * period,
                      rep_period=period)
     purity_b = purity_from_histogram(hist, n_side_peaks=10)
-    dip = fit_dip_time(hist, jitter_fwhm=200.0)
+    dip = fit_dip_time(hist, purity_b, jitter_fwhm=200.0)
     checks.append(_check("(b) purity at saturation", purity_b.purity, 0.96, 0.02 * scale))
     checks.append(_check("(b) refill time", dip, 50.0, 10.0 * scale))
 

@@ -259,7 +259,7 @@ def cmd_analyze_g2(args, run: _Run) -> int:
     payload = {"purity": purity, "dip_time_ps": None, "dip_note": None}
     if args.dip_jitter_fwhm is not None:
         try:
-            payload["dip_time_ps"] = fit_dip_time(hist, jitter_fwhm=args.dip_jitter_fwhm)
+            payload["dip_time_ps"] = fit_dip_time(hist, purity, jitter_fwhm=args.dip_jitter_fwhm)
         except DipFitDegenerateError as exc:
             payload["dip_note"] = str(exc)
     digest = stream_digest(s0) + stream_digest(s1)

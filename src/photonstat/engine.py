@@ -2,10 +2,11 @@
 
 Pulsed runs are processed in fixed partitions of ``PARTITION_PULSES`` pulses.
 Each partition consumes randomness only from its own substream
-``rng_substream(seed, partition_index)``, so the output is a pure function of
-(config, seed) and is independent of how partitions would be scheduled; the
-implementation runs them in order because the dot carries occupancy across
-partition boundaries.  CW runs use stream index 0; background merges use a
+``rng_substream(seed, partition_index)``, numpy's Philox ``Generator`` keyed
+by that pair, so the output is a pure function of (config, seed) and is
+independent of how partitions would be scheduled; the implementation runs
+them in order because the dot carries occupancy across partition
+boundaries.  CW runs use stream index 0; background merges use a
 dedicated stream index block far above any partition index.
 
 Model per pulse:
@@ -183,9 +184,9 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     """
     # each array keeps only its candidates' entries once drawn, and is
     # freed once used
-    cand = np.flatnonzero(gen.uniform(n) < p_exc)
-    u_cx = gen.uniform(n)[cand]
-    dark = gen.uniform(n)[cand] < dark_fraction
+    cand = np.flatnonzero(gen.random(n) < p_exc)
+    u_cx = gen.random(n)[cand]
+    dark = gen.random(n)[cand] < dark_fraction
     e_delay = gen.exponential(1.0, n)[cand]
     e_res = gen.exponential(1.0, n)[cand]
 
@@ -211,7 +212,7 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     chain_pos, chain_rel, chain_cx = [], [], []
     cum_list = cum_weights.tolist()
     last_cx = len(cum_list) - 1
-    uniform = gen.uniform
+    uniform = gen.random
     exponential = gen.exponential
 
     t_p_list = None  # built at the first pulse that blocks another
@@ -269,13 +270,13 @@ def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
     int64 array per detector: the jittered click times of this batch,
     rounded to whole ps and clamped at 0, in batch order (not sorted)."""
     n = abs_times.size
-    u_chain = gen.uniform(n)
+    u_chain = gen.random(n)
     keep = (u_chain < p_chain) & in_band[cx_idx]
     t1 = abs_times[keep]
     k = t1.size
-    u_route = gen.uniform(k)
+    u_route = gen.random(k)
     det = np.minimum((u_route * n_det).astype(np.int64), n_det - 1)
-    u_eff = gen.uniform(k)
+    u_eff = gen.random(k)
     keep2 = u_eff < eff[det]
     t2 = t1[keep2]
     det2 = det[keep2]
@@ -415,7 +416,7 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         waits = gen.exponential(tau_wait_ps, _CW_CHUNK)
         lives = gen.exponential(tau_fast_ps, _CW_CHUNK)
         emit = t + np.cumsum(waits + lives)
-        u_cx = gen.uniform(_CW_CHUNK)
+        u_cx = gen.random(_CW_CHUNK)
         cx = np.minimum(np.searchsorted(cum_weights, u_cx, side="right"), cum_weights.size - 1)
         parts_left = (duration_ps - t) / (float(emit[-1]) - t)
         t = float(emit[-1])
@@ -446,7 +447,7 @@ def merge_background(stream: ClickStream, dark_rate: float, config: ExperimentCo
     duration_ps = duration_s * 1e12
     gen = rng_substream(config.rng_seed, _BACKGROUND_STREAM_BASE + stream.detector_id)
     n = int(gen.poisson(dark_rate * duration_s))
-    bg = np.floor(gen.uniform(n) * duration_ps).astype(np.int64)
+    bg = np.floor(gen.random(n) * duration_ps).astype(np.int64)
     merged = np.concatenate([stream.timestamps, bg])
     merged.sort()
     return ClickStream(detector_id=stream.detector_id, timestamps=merged, meta=stream.meta)

@@ -1,13 +1,14 @@
 """Shared numerics: bounded least squares, grid convolution, reproducible RNG substreams.
 
 Everything stochastic in this package draws randomness exclusively through
-:func:`rng_substream`, so a (seed, stream_index) pair pins every simulated
-byte.  The fitter is scipy's trust-region reflective least squares behind a
-small problem/result interface that adds the package's error and covariance
-conventions; it is deterministic for fixed inputs and never consumes
-randomness.  :func:`fit_counts` is the one weighting policy for Poisson
-count histograms (decay, correlation dip, etalon scan): a fit as posed, then
-a refit with weights from the fitted model.
+:func:`rng_substream`, numpy's Philox ``Generator`` keyed by (seed,
+stream_index), so that pair pins every simulated byte.  The fitter is
+scipy's trust-region reflective least squares behind a small problem/result
+interface that adds the package's error and covariance conventions; it is
+deterministic for fixed inputs and never consumes randomness.
+:func:`fit_counts` is the one weighting policy for Poisson count histograms
+(decay, correlation dip, etalon scan): a fit as posed, then a refit with
+weights from the fitted model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "fit_counts",
     "convolve_profiles",
     "profile_fwhm",
-    "SubStream",
     "rng_substream",
     "RNG_ALGORITHM",
     "FWHM_TO_SIGMA",
@@ -268,42 +268,13 @@ def profile_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     return float(xr - xl)
 
 
-class SubStream:
-    """A deterministic random substream keyed by (seed, stream_index).
+def rng_substream(seed: int, stream_index: int) -> np.random.Generator:
+    """Return numpy's Philox generator keyed by (seed, stream_index).
 
-    Thin wrapper over a counter-based generator so that disjoint stream
-    indices drawn from the same seed are statistically independent and
-    reproducible regardless of scheduling.  Exposes the five draws the
-    simulator needs.
+    Philox is counter-based, so disjoint stream indices under one seed give
+    independent streams, and identical arguments give bitwise-identical
+    draw sequences regardless of scheduling.  All randomness in this
+    package flows through here.
     """
-
-    algorithm = RNG_ALGORITHM
-
-    def __init__(self, seed: int, stream_index: int):
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniform(self, size=None):
-        """U(0, 1)."""
-        return self._gen.random(size)
-
-    def exponential(self, mean: float = 1.0, size=None):
-        return self._gen.exponential(mean, size)
-
-    def normal(self, mean: float = 0.0, sigma: float = 1.0, size=None):
-        return self._gen.normal(mean, sigma, size)
-
-    def poisson(self, mean: float, size=None):
-        return self._gen.poisson(mean, size)
-
-
-def rng_substream(seed: int, stream_index: int) -> SubStream:
-    """Return the reproducible substream for (seed, stream_index).
-
-    Identical arguments give bitwise-identical draw sequences; distinct
-    stream indices under one seed give independent streams.  All randomness
-    in this package flows through here.
-    """
-    return SubStream(seed, stream_index)
+    key = np.array([int(seed) & _MASK64, int(stream_index) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

@@ -27,7 +27,6 @@ __all__ = [
     "TrueLine",
     "LineProfile",
     "LinewidthReport",
-    "CoherenceMetrics",
     "ArrayStatistics",
     "PeakAnnotation",
     "ArraySpectrumSet",
@@ -119,7 +118,6 @@ class LineProfile:
 def scan_etalon(
     true_line: TrueLine,
     etalon_fwhm: float,
-    step: float | None = None,
     counts_per_point: float = 10_000.0,
     seed: int = 0,
 ) -> LineProfile:
@@ -129,16 +127,11 @@ def scan_etalon(
     Voigt line with the etalon transmission; a Lorentzian etalon adds its
     width to the line's Lorentzian component exactly, so the expectation is a
     Voigt with widened Lorentzian part.  Expected counts are normalized to
-    counts_per_point at the line center, then Poisson-sampled.
-
-    step defaults to etalon_fwhm / 4 and may not exceed it.
+    counts_per_point at the line center, then Poisson-sampled.  The etalon
+    steps by etalon_fwhm / 4.
     """
     if etalon_fwhm <= 0:
         raise ValueError("etalon_fwhm must be > 0")
-    if step is None:
-        step = etalon_fwhm / 4.0
-    if step <= 0 or step > etalon_fwhm / 4.0 + 1e-12:
-        raise ValueError("step must be positive and at most etalon_fwhm / 4")
     if counts_per_point <= 0:
         raise ValueError("counts_per_point must be > 0")
     if true_line.lorentzian_fwhm < 0 or true_line.gaussian_fwhm < 0:
@@ -148,6 +141,7 @@ def scan_etalon(
     fg = true_line.gaussian_fwhm
     width = voigt_fwhm(fl, fg)
     half_span = 6.0 * width
+    step = etalon_fwhm / 4.0
     n_half = int(math.ceil(half_span / step))
     detunings = true_line.center + step * np.arange(-n_half, n_half + 1)
 
@@ -181,14 +175,6 @@ class LinewidthReport:
     t2_ns: float | None = None
     transform_limit: float | None = None
     broadening_ratio: float | None = None
-    t2_convention: str = _T2_CONVENTION
-
-
-@dataclass(frozen=True)
-class CoherenceMetrics:
-    t2_ns: float
-    transform_limit: float  # GHz
-    broadening_ratio: float
     t2_convention: str = _T2_CONVENTION
 
 
@@ -281,8 +267,9 @@ def fit_lineshape(profile: LineProfile, etalon_fwhm: float) -> LinewidthReport:
     )
 
 
-def coherence_metrics(deconvolved_fwhm: float, lifetime_ns: float) -> CoherenceMetrics:
-    """Coherence figures from a deconvolved width (GHz) and a lifetime (ns).
+def coherence_metrics(deconvolved_fwhm: float, lifetime_ns: float) -> dict[str, float]:
+    """Coherence figures from a deconvolved width (GHz) and a lifetime (ns),
+    keyed by their LinewidthReport field names.
 
     T2 = 1/gamma (gamma in GHz gives T2 in ns); the transform limit is
     1 / (2 pi lifetime); broadening_ratio = gamma / transform_limit, so
@@ -293,22 +280,16 @@ def coherence_metrics(deconvolved_fwhm: float, lifetime_ns: float) -> CoherenceM
     if lifetime_ns <= 0:
         raise ValueError("lifetime must be > 0")
     transform_limit = 1.0 / (2.0 * math.pi * lifetime_ns)
-    return CoherenceMetrics(
-        t2_ns=1.0 / deconvolved_fwhm,
-        transform_limit=transform_limit,
-        broadening_ratio=deconvolved_fwhm / transform_limit,
-    )
+    return {
+        "t2_ns": 1.0 / deconvolved_fwhm,
+        "transform_limit": transform_limit,
+        "broadening_ratio": deconvolved_fwhm / transform_limit,
+    }
 
 
 def with_coherence(report: LinewidthReport, lifetime_ns: float) -> LinewidthReport:
     """Complete a fit report with the lifetime-derived coherence fields."""
-    m = coherence_metrics(report.deconvolved_fwhm, lifetime_ns)
-    return replace(
-        report,
-        t2_ns=m.t2_ns,
-        transform_limit=m.transform_limit,
-        broadening_ratio=m.broadening_ratio,
-    )
+    return replace(report, **coherence_metrics(report.deconvolved_fwhm, lifetime_ns))
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +376,15 @@ def generate_array(
     for i in range(n_devices):
         gen = rng_substream(seed, i)
         e_trion = float(gen.normal(st.mean_trion_energy, st.std_trion_energy))
-        h_x = float(gen.uniform(1)[0]) * (st.x_height_range[1] - st.x_height_range[0]) + st.x_height_range[0]
-        two_peak = bool(gen.uniform(1)[0] < st.two_peak_probability)
+        h_x = gen.random() * (st.x_height_range[1] - st.x_height_range[0]) + st.x_height_range[0]
+        two_peak = gen.random() < st.two_peak_probability
         peaks = [
             PeakAnnotation(e_trion, ChargeTag.XMINUS, 1.0),
             PeakAnnotation(e_trion + st.exciton_splitting, ChargeTag.X, h_x),
         ]
         if not two_peak:
             lo, hi = st.satellite_height_range
-            h3 = lo + (hi - lo) * gen.uniform(3)
+            h3 = lo + (hi - lo) * gen.random(3)
             peaks.append(PeakAnnotation(e_trion + st.x2_offset, ChargeTag.XMINUS2, float(h3[0])))
             peaks.append(PeakAnnotation(e_trion + st.star_offsets[0], ChargeTag.XMINUS_STAR, float(h3[1])))
             peaks.append(PeakAnnotation(e_trion + st.star_offsets[1], ChargeTag.XMINUS_STAR, float(h3[2])))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts
 from .numerics import least_squares  # noqa: F401  perfbench's tests read tcspc.least_squares
-from .streams import ClickStream, PhotonStream, _require_sorted
+from .streams import ClickStream, _require_sorted
 
 __all__ = [
     "DecayHistogram",
@@ -43,6 +43,9 @@ _INT64 = np.iinfo(np.int64)
 # The most bins a histogram may have (128 MB of int64 counts); a count past
 # it is refused before anything the size of the histogram is allocated.
 MAX_BINS = 2**24
+
+# Starts per block of correlate's pair sweep; bounds its temporaries.
+_CORRELATE_CHUNK = 1 << 16
 
 # Fewer counts than this leave a bi-exponential fit unstable.
 _MIN_DECAY_COUNTS = 1000
@@ -143,8 +146,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
                           fold: float | None = None) -> DecayHistogram:
     """Histogram event times (ps) into pulse-relative bins.
 
-    events may be a PhotonStream (pulse-relative emission times are used
-    directly), a ClickStream, or a plain array of times.  fold wraps times
+    events may be a ClickStream or a plain array of times.  fold wraps times
     modulo a pulse period before binning, which is how absolute click times
     become pulse-relative.  The period is then cut into
     n = round(fold / bin_width) bins of width fold / n, so whole bins tile
@@ -158,9 +160,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     event.  Empty input produces an empty histogram, which the fit rejects
     later.  More than MAX_BINS bins raise ValueError.
     """
-    if isinstance(events, PhotonStream):
-        times = np.asarray(events.emission_time, dtype=np.float64)
-    elif isinstance(events, ClickStream):
+    if isinstance(events, ClickStream):
         times = events.timestamps.astype(np.float64)
     else:
         times = np.asarray(events, dtype=np.float64)
@@ -355,8 +355,7 @@ def _timestamps(stream) -> np.ndarray:
 
 
 def correlate(start, stop, bin_width: float, window: float,
-              rep_period: float | None = None,
-              chunk: int = 1 << 16) -> CorrelationHistogram:
+              rep_period: float | None = None) -> CorrelationHistogram:
     """Histogram of delays (stop - start) between two sorted click streams.
 
     Bins are centered: the middle bin spans [-bin_width/2, bin_width/2).
@@ -387,8 +386,8 @@ def correlate(start, stop, bin_width: float, window: float,
     hi_off = math.ceil((half + 0.5) * bin_width)
     if hi_off > _INT64.max:
         raise ValueError("window exceeds the int64 timestamp range")
-    for s in range(0, a.size, chunk):
-        a_c = a[s:s + chunk]
+    for s in range(0, a.size, _CORRELATE_CHUNK):
+        a_c = a[s:s + _CORRELATE_CHUNK]
         # The search keys saturate at the int64 limits instead of wrapping;
         # a saturated key selects the same stops as the exact one would.
         lo = np.searchsorted(b, np.maximum(a_c, _INT64.min - lo_off) + lo_off, side="left")
@@ -487,8 +486,8 @@ def _dip_model_factory(bin_width: float, sigma: float):
     return model
 
 
-def fit_dip_time(hist: CorrelationHistogram, jitter_fwhm: float,
-                 n_side_peaks: int = 10) -> float:
+def fit_dip_time(hist: CorrelationHistogram, purity: PurityReport,
+                 jitter_fwhm: float) -> float:
     """Timescale (ps) of the dip carved into the zero-delay peak by the
     delayed re-excitation path.
 
@@ -496,21 +495,20 @@ def fit_dip_time(hist: CorrelationHistogram, jitter_fwhm: float,
     envelope times a saturating dip, convolved with the pair timing jitter
     (sigma = sqrt(2) * jitter_fwhm / (2 sqrt(2 ln 2)) since both clicks jitter
     independently).  This is forward-model fitting, not inverse filtering.
-    Raises DipFitDegenerateError when the zero peak is too empty to carry
-    dip structure, FitError when the fit cannot converge.
+    purity is purity_from_histogram's report on hist; its peak areas gate
+    the fit.  Raises DipFitDegenerateError when the zero peak is too empty
+    to carry dip structure, FitError when the fit cannot converge.
     """
     if jitter_fwhm < 0:
         raise ValueError("jitter_fwhm must be >= 0")
-    report = purity_from_histogram(hist, n_side_peaks=n_side_peaks)
-    rep_period = hist.rep_period
-    threshold = max(16.0, 0.01 * report.mean_side_peak_area)
-    if report.zero_peak_area < threshold:
+    threshold = max(16.0, 0.01 * purity.mean_side_peak_area)
+    if purity.zero_peak_area < threshold:
         raise DipFitDegenerateError(
-            f"zero peak holds {report.zero_peak_area} counts "
+            f"zero peak holds {purity.zero_peak_area} counts "
             f"(threshold {threshold:.0f}); no dip to fit",
-            g2_zero=report.g2_zero)
+            g2_zero=purity.g2_zero)
 
-    half = 0.5 * rep_period
+    half = 0.5 * hist.rep_period
     sel = (hist.delays >= -half) & (hist.delays < half)
     t = hist.delays[sel]
     y = hist.counts[sel].astype(np.float64)

@@ -389,6 +389,22 @@ class TestAnalyze:
                 "5a26d661e601af689fe192571670bc55654a06b1d11de2844cae4a85f58f4732",
         }
 
+    def test_dip_fit_gates_on_the_requested_side_peaks(self, tmp_path):
+        # a 3.6-period window holds 3 side peaks a side; the dip fit must
+        # not ask the histogram for 10 of them
+        hbt = _hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 400_000, seed=502)
+        for d, stream in enumerate(simulate_clicks(hbt)):
+            write_clicks_binary(tmp_path / f"hbt{d}.pstm", stream)
+        out = tmp_path / "g2"
+        rc = main(["analyze", "g2", "--input", str(tmp_path / "hbt0.pstm"),
+                   "--input2", str(tmp_path / "hbt1.pstm"), "--rep-rate", "20e6",
+                   "--bin-width", "10", "--n-side-peaks", "3", "--dip-jitter-fwhm", "200",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        payload = read_report(out / "g2_report.json")["payload"]
+        assert payload["purity"]["n_side_peaks"] == 3
+        assert payload["dip_time_ps"] is not None
+
     @pytest.fixture
     def negative_csvs(self, tmp_path):
         # 40k pulses at 20 MHz, one 1.5 ns decay each, split at random over

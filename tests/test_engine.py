@@ -375,9 +375,9 @@ def _grow(arr):
 def _reference_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
                          dark_fraction, tau_fast_ps, tau_slow_ps, p_rc, rc_ps,
                          next_free):
-    u_exc = gen.uniform(n)
-    u_cx = gen.uniform(n)
-    u_dark = gen.uniform(n).tolist()
+    u_exc = gen.random(n)
+    u_cx = gen.random(n)
+    u_dark = gen.random(n).tolist()
     e_delay = gen.exponential(1.0, n).tolist()
     e_res = gen.exponential(1.0, n).tolist()
     cx_first = np.searchsorted(cum_weights, u_cx, side="right").tolist()
@@ -390,7 +390,7 @@ def _reference_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     out_re = np.empty(cap, bool)
     m = 0
     n_complexes = cum_weights.size
-    uniform = gen.uniform
+    uniform = gen.random
     exponential = gen.exponential
 
     for i in cand:
@@ -762,4 +762,15 @@ def test_no_unkeyed_rng_anywhere_in_package():
         for ln, line in enumerate(py.read_text().splitlines(), 1):
             if banned.search(line):
                 offenders.append(f"{py.name}:{ln}: {line.strip()}")
+    assert offenders == []
+
+
+def test_no_uniform_call_anywhere_in_package():
+    """numpy's Generator.uniform(n) reads n as the lower bound and draws one
+    float from [1, n]; U(0, 1) arrays must come from Generator.random."""
+    pkg_dir = Path(photonstat.__file__).parent
+    offenders = [f"{py.name}:{ln}: {line.strip()}"
+                 for py in sorted(pkg_dir.glob("*.py"))
+                 for ln, line in enumerate(py.read_text().splitlines(), 1)
+                 if ".uniform(" in line]
     assert offenders == []

@@ -16,7 +16,6 @@ from photonstat.numerics import (
     FitError,
     FitProblem,
     FitResult,
-    SubStream,
     convolve_profiles,
     fit_counts,
     least_squares,
@@ -205,7 +204,7 @@ class TestFitCounts:
         # without the failure this histogram fits as a bi-exponential; a
         # failed refit sends it down the single-exponential route instead
         g = rng_substream(21, 0)
-        slow = g.uniform(200_000) < 0.1
+        slow = g.random(200_000) < 0.1
         t = np.where(slow, g.exponential(30_000.0, slow.size), g.exponential(1_500.0, slow.size))
         hist = build_decay_histogram(t, bin_width=100.0, window=200_000.0)
         assert fit_biexponential(hist).model == "biexponential"
@@ -328,14 +327,19 @@ class TestProfileFwhm:
 
 
 class TestSubStream:
+    """rng_substream's keyed Philox generators."""
+
+    def test_is_numpys_generator(self):
+        assert isinstance(rng_substream(5, 5), np.random.Generator)
+
     def test_same_key_reproduces_exactly(self):
-        a = rng_substream(42, 7).uniform(1000)
-        b = rng_substream(42, 7).uniform(1000)
+        a = rng_substream(42, 7).random(1000)
+        b = rng_substream(42, 7).random(1000)
         np.testing.assert_array_equal(a, b)
 
     def test_streams_differ(self):
-        a = rng_substream(42, 0).uniform(1000)
-        b = rng_substream(42, 1).uniform(1000)
+        a = rng_substream(42, 0).random(1000)
+        b = rng_substream(42, 1).random(1000)
         assert not np.array_equal(a, b)
 
     def test_exponential_mean(self):
@@ -345,7 +349,7 @@ class TestSubStream:
         assert abs(draws.mean() - 1.5) < 0.0075
 
     def test_uniform_support(self):
-        u = rng_substream(3, 4).uniform(100_000)
+        u = rng_substream(3, 4).random(100_000)
         assert u.min() >= 0.0 and u.max() < 1.0
         # mean 0.5, SE = 1/sqrt(12 n) ~ 0.00091; allow 5 sigma
         assert abs(u.mean() - 0.5) < 0.0046
@@ -364,5 +368,5 @@ class TestSubStream:
 
     def test_scalar_draws(self):
         g = rng_substream(5, 5)
-        assert isinstance(g.uniform(), float)
-        assert isinstance(SubStream(5, 5).exponential(2.0), float)
+        assert isinstance(g.random(), float)
+        assert isinstance(g.exponential(2.0), float)

@@ -30,7 +30,7 @@ from photonstat.tcspc import _timestamps
 
 def _biexp_events(n, tau_fast_ps, tau_slow_ps, slow_fraction, seed):
     g = rng_substream(seed, 0)
-    slow = g.uniform(n) < slow_fraction
+    slow = g.random(n) < slow_fraction
     t = np.where(
         slow, g.exponential(tau_slow_ps, n), g.exponential(tau_fast_ps, n)
     )
@@ -181,7 +181,7 @@ class TestBiexponentialFit:
     def test_background_floor_recovered(self):
         g = rng_substream(23, 0)
         t = _biexp_events(500_000, 1500.0, 30_000.0, 0.1, seed=23)
-        flat = g.uniform(50_000) * 200_000.0  # uncorrelated floor
+        flat = g.random(50_000) * 200_000.0  # uncorrelated floor
         hist = build_decay_histogram(
             np.concatenate([t, flat]), bin_width=100.0, window=200_000.0
         )
@@ -269,16 +269,16 @@ class TestCorrelate:
         # bins are half-open, so a delay exactly on a bin edge would land
         # asymmetrically; an odd bin width keeps integer delays off edges
         g = rng_substream(31, 0)
-        a = np.sort((g.uniform(2_000) * 1e9).astype(np.int64))
-        b = np.sort((g.uniform(2_000) * 1e9).astype(np.int64))
+        a = np.sort((g.random(2_000) * 1e9).astype(np.int64))
+        b = np.sort((g.random(2_000) * 1e9).astype(np.int64))
         ab = correlate(a, b, bin_width=501.0, window=50_000.0)
         ba = correlate(b, a, bin_width=501.0, window=50_000.0)
         np.testing.assert_array_equal(ab.counts, ba.counts[::-1])
 
     def test_translation_invariance(self):
         g = rng_substream(32, 0)
-        a = np.sort((g.uniform(1_000) * 1e8).astype(np.int64))
-        b = np.sort((g.uniform(1_000) * 1e8).astype(np.int64))
+        a = np.sort((g.random(1_000) * 1e8).astype(np.int64))
+        b = np.sort((g.random(1_000) * 1e8).astype(np.int64))
         h1 = correlate(a, b, bin_width=200.0, window=20_000.0)
         h2 = correlate(a + 777_000, b + 777_000, bin_width=200.0, window=20_000.0)
         np.testing.assert_array_equal(h1.counts, h2.counts)
@@ -357,7 +357,9 @@ class TestCorrelate:
             return np.array(sorted(offsets), dtype=np.int64) + base
 
         a, b = stream("start"), stream("stop")
-        new = correlate(a, b, bin_width, window, chunk=chunk).counts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tcspc, "_CORRELATE_CHUNK", chunk)
+            new = correlate(a, b, bin_width, window).counts
         assert np.array_equal(new, _reference_correlate(a, b, bin_width, window, chunk=chunk).counts)
         assert np.array_equal(new, _all_pairs(a, b, bin_width, window))
 
@@ -478,7 +480,7 @@ class TestDipFit:
         tau_wait = 1.0 / (1.0 / tau_dip_ps + 1.0 / tau_env)
         g = rng_substream(seed, 0)
         delta = g.exponential(tau_wait, n_pairs) + g.exponential(tau_env, n_pairs)
-        sign = np.where(g.uniform(n_pairs) < 0.5, -1.0, 1.0)
+        sign = np.where(g.random(n_pairs) < 0.5, -1.0, 1.0)
         if jitter_fwhm > 0:
             sigma_pair = np.sqrt(2.0) * jitter_fwhm / 2.3548200450309493
             delta = delta + g.normal(0.0, sigma_pair, n_pairs)
@@ -496,7 +498,7 @@ class TestDipFit:
         gs = rng_substream(seed, 1)
         for j in list(range(-n_side, 0)) + list(range(1, n_side + 1)):
             d_side = gs.exponential(tau_env, n_pairs // 40)
-            s_side = np.where(gs.uniform(n_pairs // 40) < 0.5, -1.0, 1.0)
+            s_side = np.where(gs.random(n_pairs // 40) < 0.5, -1.0, 1.0)
             ks = np.floor((j * rep + s_side * d_side) / bw + 0.5).astype(np.int64) + half
             ks = ks[(ks >= 0) & (ks < counts.size)]
             np.add.at(counts, ks, 1)
@@ -505,16 +507,16 @@ class TestDipFit:
 
     def test_recovers_injected_dip_time(self):
         hist = self._dip_histogram(tau_dip_ps=51.7, seed=51)
-        fitted = fit_dip_time(hist, jitter_fwhm=0.0)
+        fitted = fit_dip_time(hist, purity_from_histogram(hist), jitter_fwhm=0.0)
         assert fitted == pytest.approx(51.7, rel=0.10)
 
     def test_recovers_through_jitter(self):
         hist = self._dip_histogram(tau_dip_ps=51.7, jitter_fwhm=200.0, seed=52)
-        fitted = fit_dip_time(hist, jitter_fwhm=200.0)
+        fitted = fit_dip_time(hist, purity_from_histogram(hist), jitter_fwhm=200.0)
         assert fitted == pytest.approx(51.7, rel=0.20)
 
     def test_empty_zero_peak_degenerate(self):
         hist = _pulsed_pair_histogram(g2_zero=0.0, seed=53)
         with pytest.raises(DipFitDegenerateError) as err:
-            fit_dip_time(hist, jitter_fwhm=100.0)
+            fit_dip_time(hist, purity_from_histogram(hist), jitter_fwhm=100.0)
         assert err.value.g2_zero == pytest.approx(0.0, abs=1e-3)
