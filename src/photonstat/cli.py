@@ -354,6 +354,7 @@ def _number(what: str, ok, cast=float):
     return parse
 
 
+_FINITE = _number("a finite number", math.isfinite)
 _POSITIVE = _number("a finite number > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = _number("a finite number >= 0", lambda v: 0 <= v < math.inf)
 _FRACTION = _number("a number in (0, 1]", lambda v: 0 < v <= 1)
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "in whole bins")
     life.add_argument("--rep-rate", type=_POSITIVE, required=True,
                       help="pulse rate in Hz; folds timestamps into one period")
-    life.add_argument("--fit-start", type=float, default=None, help="fit window start, ps")
+    life.add_argument("--fit-start", type=_FINITE, default=None, help="fit window start, ps")
     life.set_defaults(func=cmd_analyze_lifetime)
 
     g2p = ana_sub.add_parser("g2", help="coincidence histogram and purity")

@@ -45,15 +45,14 @@ order and the float expressions are those of a plain pulse-by-pulse loop,
 so the output is unchanged bit for bit; ``tests/test_engine.py`` keeps
 that loop as a reference.
 
-Two entry points share one partition loop.  ``simulate_pulsed`` copies
-each partition's photons and clicks into one output array per photon column
-and per detector, grown in place, so no partition's arrays outlive it.
-``simulate_clicks`` keeps only the clicks, bit for bit the same: the photon
-columns hold 19 bytes per emitted photon, against 8 per click.  It hands
-each partition's photons to an optional consumer before it draws the next
-partition, so a caller that streams or counts the photons (``photonstat
-simulate`` writes ``photons.csv`` this way) holds one partition of them at
-a time.
+``simulate_clicks`` holds the one partition loop.  It keeps only the
+clicks, one output array per detector grown in place, and hands each
+partition's photons to an optional consumer before it draws that
+partition's clicks, so a caller that streams or counts the photons
+(``photonstat simulate`` writes ``photons.csv`` this way) holds one
+partition of them at a time.  ``simulate_pulsed`` is ``simulate_clicks``
+with a consumer that copies the photons into one array per column, grown
+in place, so no partition's arrays outlive it.
 """
 
 from __future__ import annotations
@@ -324,21 +323,45 @@ def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
     return streams
 
 
-def _pulsed_partitions(config: ExperimentConfig):
-    """The partition loop of a pulsed run.  Validates ``config``, then
-    yields, partition by partition, the photon columns (pulse index,
-    emission time, complex index, re-excitation flag), one array of
-    ``_detect`` clicks per detector, and the ``parts_left`` estimate of
-    ``_GrowingArray.append``."""
+def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickStream]]:
+    """Simulate a pulsed run.  Returns the emitted photons and one click
+    stream per detector.  Bit-for-bit reproducible for a given config."""
+    columns = [_GrowingArray(dtype) for dtype in (np.int64, np.float64, np.int16, bool)]
+
+    def keep(part: PhotonStream) -> None:
+        if len(part):  # an empty part is never sized, so it needs no estimate
+            start = int(part.pulse_index[0]) // PARTITION_PULSES * PARTITION_PULSES
+            pulses_left = round(config.duration) - start
+            parts_left = pulses_left / min(PARTITION_PULSES, pulses_left)
+            for out, column in zip(columns, (part.pulse_index, part.emission_time,
+                                             part.complex_index, part.is_reexcitation)):
+                out.append(column, parts_left)
+
+    streams = simulate_clicks(config, keep)
+    photons = PhotonStream(*[c.trimmed() for c in columns],
+                           complex_tags=tuple(cx.tag for cx in config.emitter.complexes))
+    return photons, streams
+
+
+def simulate_clicks(config: ExperimentConfig, on_photons=None) -> list[ClickStream]:
+    """Simulate a pulsed run and return one click stream per detector,
+    bit-for-bit reproducible for a given config.  Each partition's photon
+    columns are dropped once its clicks are drawn.
+
+    ``on_photons``, if given, is called with each partition's photons as a
+    ``PhotonStream``, in pulse order, before that partition's clicks are
+    drawn; together they are the photons of ``simulate_pulsed(config)``."""
     _require_valid(config, ExcitationMode.PULSED)
     n_pulses = int(round(config.duration))
 
     em = config.emitter
+    tags = tuple(cx.tag for cx in em.complexes)
     period_ps = 1e12 / config.excitation.rep_rate
     p_exc = 1.0 - math.exp(-config.excitation.power_ratio)
     p_rc = recapture_probability(config.excitation)
     cum_weights, detect = _emission_and_detection(config)
 
+    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
     next_free = -np.inf
     for start in range(0, n_pulses, PARTITION_PULSES):
         n = min(PARTITION_PULSES, n_pulses - start)
@@ -348,43 +371,10 @@ def _pulsed_partitions(config: ExperimentConfig):
             em.dark_fraction, em.tau_fast * 1000.0, em.tau_slow * 1000.0,
             p_rc, config.excitation.recapture_time, next_free,
         )
-        abs_times = pulses * period_ps + rel
-        clicks = detect(gen, abs_times, cx)
-        yield (pulses, rel, cx, re), clicks, (n_pulses - start) / n
-
-
-def simulate_pulsed(config: ExperimentConfig) -> tuple[PhotonStream, list[ClickStream]]:
-    """Simulate a pulsed run.  Returns the emitted photons and one click
-    stream per detector.  Bit-for-bit reproducible for a given config."""
-    columns = [_GrowingArray(dtype) for dtype in (np.int64, np.float64, np.int16, bool)]
-    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
-    for photon_parts, click_parts, parts_left in _pulsed_partitions(config):
-        for out, part in zip(clicks, click_parts):
-            out.append(part, parts_left)
-        for out, part in zip(columns, photon_parts):
-            out.append(part, parts_left)
-
-    streams = _assemble_clicks(config, clicks)
-    photons = PhotonStream(*[c.trimmed() for c in columns],
-                           complex_tags=tuple(cx.tag for cx in config.emitter.complexes))
-    return photons, streams
-
-
-def simulate_clicks(config: ExperimentConfig, on_photons=None) -> list[ClickStream]:
-    """The click streams of ``simulate_pulsed(config)``, bit for bit, without
-    keeping the photons: each partition's photon columns are dropped once
-    its clicks are drawn.
-
-    ``on_photons``, if given, is called with each partition's photons as a
-    ``PhotonStream``, in pulse order, before the next partition is drawn;
-    together they are the photons of ``simulate_pulsed(config)``."""
-    tags = tuple(cx.tag for cx in config.emitter.complexes)
-    clicks = [_GrowingArray(np.int64) for _ in config.detectors]
-    for photon_parts, click_parts, parts_left in _pulsed_partitions(config):
         if on_photons is not None:
-            on_photons(PhotonStream(*photon_parts, complex_tags=tags))
-        for out, part in zip(clicks, click_parts):
-            out.append(part, parts_left)
+            on_photons(PhotonStream(pulses, rel, cx, re, complex_tags=tags))
+        for out, part in zip(clicks, detect(gen, pulses * period_ps + rel, cx)):
+            out.append(part, (n_pulses - start) / n)
     return _assemble_clicks(config, clicks)
 
 

@@ -136,10 +136,14 @@ class DipFitDegenerateError(RuntimeError):
         self.g2_zero = g2_zero
 
 
-def _check_bins(n_bins: int, bin_width: float) -> None:
+def _bin_count(n_bins: float, bin_width: float) -> int:
+    """A whole bin count, still a float, as an int.  More than MAX_BINS
+    raise ValueError before the conversion, which would overflow on the
+    infinite count of a span or bin width at the edge of the float range."""
     if n_bins > MAX_BINS:
-        raise ValueError(f"bin width {bin_width:g} ps asks for {n_bins:,} histogram bins, "
+        raise ValueError(f"bin width {bin_width:g} ps asks for {n_bins:,.0f} histogram bins, "
                          f"more than the {MAX_BINS:,} allowed")
+    return int(n_bins)
 
 
 def build_decay_histogram(events, bin_width: float, window: float | None = None,
@@ -170,7 +174,7 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     if fold is not None:
         if fold <= 0:
             raise ValueError("fold period must be > 0")
-        n_fold = round(fold / bin_width)
+        n_fold = _bin_count(np.rint(fold / bin_width), bin_width)
         if n_fold < 1:
             raise ValueError(f"bin width {bin_width:g} ps leaves no whole bin in the fold "
                              f"period {fold:g} ps")
@@ -182,9 +186,8 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     else:
         if window is None:
             window = float(times.max()) + bin_width if times.size else bin_width
-        n_bins = max(int(math.ceil(window / bin_width)), 1)
+        n_bins = max(_bin_count(np.ceil(window / bin_width), bin_width), 1)
         hi_edge = n_bins * bin_width - pre
-    _check_bins(n_bins, bin_width)
     counts, edges = np.histogram(times, bins=n_bins, range=(-pre, hi_edge))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayHistogram(bin_centers=centers, counts=counts.astype(np.int64), bin_width=bin_width)
@@ -377,9 +380,8 @@ def correlate(start, stop, bin_width: float, window: float,
                          f"{bin_width:g} ps")
     if rep_period is not None and rep_period <= 0:
         raise ValueError("rep_period must be > 0 when given")
-    half = int(math.floor(window / bin_width))
-    n_bins = 2 * half + 1
-    _check_bins(n_bins, bin_width)
+    n_bins = _bin_count(2 * np.floor(window / bin_width) + 1, bin_width)
+    half = n_bins // 2
     counts = np.zeros(n_bins, dtype=np.int64)
     # integer bounds: the pair (a, b) is in the window iff lo_off <= b - a < hi_off
     lo_off = math.ceil(-(half + 0.5) * bin_width)

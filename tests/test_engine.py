@@ -298,13 +298,21 @@ class TestModeGuards:
         with pytest.raises(ValueError, match="[Pp]ulsed"):
             simulate_cw(_clean_config())
 
-    def test_invalid_config_rejected_with_violations(self):
+    @pytest.mark.parametrize("simulate", [simulate_pulsed, simulate_clicks],
+                             ids=["pulsed", "clicks"])
+    @pytest.mark.parametrize("field", ["emitter.tau_fast", "duration"],
+                             ids=["tau_fast", "nan_duration"])
+    def test_invalid_config_rejected_with_violations(self, simulate, field):
         base = _clean_config()
-        cfg = dataclasses.replace(
-            base, emitter=dataclasses.replace(base.emitter, tau_fast=-1.0)
-        )
-        with pytest.raises(ValueError, match="tau_fast"):
-            simulate_pulsed(cfg)
+        if field == "duration":
+            # refused before anything rounds it to a pulse count
+            cfg = dataclasses.replace(base, duration=math.nan)
+        else:
+            cfg = dataclasses.replace(
+                base, emitter=dataclasses.replace(base.emitter, tau_fast=-1.0)
+            )
+        with pytest.raises(ValueError, match=f"invalid config: {field}: "):
+            simulate(cfg)
 
 
 class TestDeterminism:
