@@ -186,8 +186,10 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     cand = np.flatnonzero(gen.random(n) < p_exc)
     u_cx = gen.random(n)[cand]
     dark = gen.random(n)[cand] < dark_fraction
-    e_delay = gen.exponential(1.0, n)[cand]
-    e_res = gen.exponential(1.0, n)[cand]
+    # standard_exponential(n) draws exactly what exponential(1.0, n) does,
+    # without the scaling pass
+    e_delay = gen.standard_exponential(n)[cand]
+    e_res = gen.standard_exponential(n)[cand]
 
     n_cand = cand.size
     t_p = (start_pulse + cand) * period_ps
@@ -218,10 +220,12 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
     k = int(np.searchsorted(t_p, next_free))
     blocked = np.zeros(n_cand, dtype=bool)
     blocked[:k] = True
-    j = 0
+    # j is the first visit at or after candidate k; it moves on by one
+    # unless a pulse blocks later ones
+    j = bisect_left(visit_list, k)
+    n_visit = len(visit_list)
     while k < n_cand:
-        j = bisect_left(visit_list, k, j)
-        if j == len(visit_list):
+        if j == n_visit:
             next_free = float(t_e[-1])
             break
         s = visit_list[j]
@@ -245,6 +249,9 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
                 t_p_list = t_p.tolist()
             k = bisect_left(t_p_list, te, k)
             blocked[s + 1:k] = True
+            j = bisect_left(visit_list, k, j + 1)
+        else:
+            j += 1
     # the walk's lists hold tens of bytes per entry: free them before the
     # output is built
     del visit_list, visit_tp, visit_te, visit_res, visit_next_tp, t_p_list
@@ -268,20 +275,23 @@ def _detect(gen, abs_times, cx_idx, in_band, p_chain, eff, sigma, n_det):
     """Chain thinning, routing, detector efficiency, jitter.  Returns one
     int64 array per detector: the jittered click times of this batch,
     rounded to whole ps and clamped at 0, in batch order (not sorted)."""
+    # Every gather takes an index array: on 65,536 elements and a random
+    # 63% mask, u.take(np.flatnonzero(mask)) took 0.09 ms and u[mask] 0.43
+    # ms, as the boolean gather mispredicts a branch per element.
     n = abs_times.size
     u_chain = gen.random(n)
-    keep = (u_chain < p_chain) & in_band[cx_idx]
-    t1 = abs_times[keep]
+    keep = np.flatnonzero((u_chain < p_chain) & in_band.take(cx_idx))
+    t1 = abs_times.take(keep)
     k = t1.size
     u_route = gen.random(k)
     det = np.minimum((u_route * n_det).astype(np.int64), n_det - 1)
     u_eff = gen.random(k)
-    keep2 = u_eff < eff[det]
-    t2 = t1[keep2]
-    det2 = det[keep2]
-    z = gen.normal(0.0, 1.0, t2.size)
-    ts = np.maximum(np.rint(t2 + z * sigma[det2]), 0).astype(np.int64)
-    return [ts[det2 == d] for d in range(n_det)]
+    keep2 = np.flatnonzero(u_eff < eff.take(det))
+    t2 = t1.take(keep2)
+    det2 = det.take(keep2)
+    z = gen.standard_normal(t2.size)  # exactly what normal(0.0, 1.0, size) draws
+    ts = np.maximum(np.rint(t2 + z * sigma.take(det2)), 0).astype(np.int64)
+    return [ts.take(np.flatnonzero(det2 == d)) for d in range(n_det)]
 
 
 def _dead_time_filter(ts: np.ndarray, dead_ps: float) -> np.ndarray:
@@ -317,7 +327,9 @@ def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
     streams = []
     for d, spec in enumerate(config.detectors):
         ts = clicks[d].trimmed()
-        ts.sort()
+        # each partition's clicks come nearly sorted, and timsort finds the
+        # runs: 5.6 ms against 32 ms for quicksort on C5(a)'s 3.16M clicks
+        ts.sort(kind="stable")
         ts = _dead_time_filter(ts, spec.dead_time * 1000.0)
         streams.append(ClickStream(detector_id=d, timestamps=ts, meta=digest))
     return streams

@@ -21,7 +21,7 @@ from photonstat.acceptance import _hbt_config
 from photonstat.cli import main
 from photonstat.engine import simulate_clicks
 from photonstat.model import config_from_json, config_to_json, paper_device_defaults
-from photonstat.numerics import FitError
+from photonstat.numerics import FitError, rng_substream
 from photonstat.report import read_report, read_xy_csv, write_array_csvs, write_xy_csv
 from photonstat.spectral import TrueLine, generate_array, scan_etalon
 from photonstat.streams import ClickStream, read_clicks_binary, write_clicks_binary
@@ -617,21 +617,40 @@ class TestAnalyze:
                    "--rep-rate", "20e6", "--out-dir", str(tmp_path / "taken")])
         assert rc == 2
 
-    @pytest.mark.parametrize("args, error, written", [
+    @pytest.fixture
+    def decay_clicks(self, tmp_path):
+        # 5,000 pulses at 20 MHz, one click each 1.5 ns (mean) after its
+        # pulse: enough counts to fit
+        delays = np.rint(rng_substream(43, 0).exponential(1_500.0, 5_000)).astype(np.int64)
+        path = tmp_path / "decay.pstm"
+        write_clicks_binary(path, ClickStream(
+            detector_id=0, timestamps=np.arange(5_000, dtype=np.int64) * 50_000 + delays))
+        return [path]
+
+    @pytest.mark.parametrize("clicks, args, error, message, written", [
         # too few clicks to fit: the analysis fails, not the input
-        (["lifetime", "--rep-rate", "20e6"], "ValueError", ["decay.csv"]),
-    ], ids=["too-few-counts"])
-    def test_analysis_failure_is_exit_1_with_its_report(self, tmp_path, few_clicks, args, error,
-                                                        written, capsys):
+        ("few_clicks", ["lifetime", "--rep-rate", "20e6"], "ValueError", "at least 1000",
+         ["decay.csv"]),
+        # a fit start far ahead of the -2,000 ps first bin edge once exited 0
+        # with tau = 5.671e5 ns
+        ("decay_clicks", ["lifetime", "--rep-rate", "20e6", "--fit-start=-1e9"], "ValueError",
+         "first bin edge at -2000 ps", ["decay.csv"]),
+        ("decay_clicks", ["lifetime", "--rep-rate", "20e6", "--fit-start=1e9"], "ValueError",
+         "fewer than 6 bins", ["decay.csv"]),
+    ], ids=["too-few-counts", "fit-start-before-the-histogram", "fit-start-past-the-histogram"])
+    def test_analysis_failure_is_exit_1_with_its_report(self, tmp_path, request, clicks, args,
+                                                        error, message, written, capsys):
+        clicks = request.getfixturevalue(clicks)
         kind = args[0]
         out = tmp_path / "x"
-        rc = main(["analyze", *args, "--input", str(few_clicks[0]),
-                   *(["--input2", str(few_clicks[1])] if kind == "g2" else []),
+        rc = main(["analyze", *args, "--input", str(clicks[0]),
+                   *(["--input2", str(clicks[1])] if kind == "g2" else []),
                    "--out-dir", str(out)])
         assert rc == 1
         report = read_report(out / f"{kind}.json")
         assert report["kind"] == f"{kind}-error"
         assert report["payload"]["error"] == error
+        assert message in report["payload"]["message"]
         assert f"{kind} failed" in capsys.readouterr().err
         assert _tree(out) == sorted([*written, f"{kind}.json", "manifest.json"])
 

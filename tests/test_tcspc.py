@@ -204,6 +204,17 @@ class TestBiexponentialFit:
         assert fit.tau_fast == pytest.approx(1.5, rel=0.02)
         assert fit.fit_start >= 2_000.0
 
+    def test_fit_start_before_the_first_bin_edge_rejected(self):
+        # a fit start far ahead of the histogram once measured every bin
+        # from it and reported a lifetime of 5.7e5 ns
+        t = _biexp_events(100_000, 1500.0, 30_000.0, 0.1, seed=26)
+        hist = build_decay_histogram(t, bin_width=100.0, window=200_000.0)
+        for fit_start in (-1e9, -1.0):
+            with pytest.raises(ValueError, match="before the histogram's first bin edge at 0 ps"):
+                fit_biexponential(hist, fit_start=fit_start)
+        fit = fit_biexponential(hist, fit_start=0.0)
+        assert fit.tau_fast == pytest.approx(1.5, rel=0.05)
+
     def test_folded_window_shorter_than_slow_lifetime(self):
         # Folding a 30 ns tail into a 50 ns period leaves the slow
         # component nearly degenerate with the flat background.  The
@@ -346,7 +357,7 @@ class TestCorrelate:
     @settings(max_examples=200)
     @given(data=st.data(),
            bin_width=st.sampled_from([0.3, 7.5, 10.0, 100.0, 20_000.0]),
-           chunk=st.sampled_from([1, 3, 1 << 16]))
+           chunk=st.sampled_from([1, 3, 1 << 14, 1 << 16]))
     def test_matches_the_float_kernel_below_2_40_ps(self, data, bin_width, chunk):
         bins = data.draw(st.one_of(st.just(1.0), st.floats(1.0, 40.0)), label="window_bins")
         window = bins * bin_width
@@ -363,6 +374,32 @@ class TestCorrelate:
             new = correlate(a, b, bin_width, window).counts
         assert np.array_equal(new, _reference_correlate(a, b, bin_width, window, chunk=chunk).counts)
         assert np.array_equal(new, _all_pairs(a, b, bin_width, window))
+
+    def test_a_block_whose_windows_hold_no_stops(self):
+        # two starts per block: the middle block's windows reach no stop,
+        # its neighbours' each reach one
+        a = np.array([0, 10, 1_000, 1_010, 2_000, 2_010], dtype=np.int64)
+        b = np.array([5, 2_005], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tcspc, "_CORRELATE_CHUNK", 2)
+            counts = correlate(a, b, bin_width=10.0, window=100.0).counts
+        np.testing.assert_array_equal(counts, _all_pairs(a, b, 10.0, 100.0))
+        assert counts.sum() == 4
+
+    @pytest.mark.parametrize("bin_width, window_bins, lost", [
+        (2.8, 7, -21),  # -21 / 2.8 + 0.5 rounds to just under -7
+        (14 / 3, 13, 63),  # 63 / (14 / 3) + 0.5 rounds to 14
+    ])
+    def test_an_edge_delay_that_rounds_off_the_histogram(self, bin_width, window_bins, lost):
+        # every whole delay inside the window's integer edges, one stop each
+        window = window_bins * bin_width
+        edge = (window_bins + 0.5) * bin_width
+        a = np.array([1_000], dtype=np.int64)
+        b = a + np.arange(math.ceil(-edge), math.ceil(edge), dtype=np.int64)
+        counts = correlate(a, b, bin_width=bin_width, window=window).counts
+        np.testing.assert_array_equal(counts, _all_pairs(a, b, bin_width, window))
+        assert counts.sum() == b.size - 1  # only the delay `lost` has no bin
+        assert _all_pairs(a, a + lost, bin_width, window).sum() == 0
 
 
 def _all_pairs(a, b, bin_width, window):
