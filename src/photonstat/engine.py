@@ -67,7 +67,6 @@ from .model import (
     ExcitationMode,
     ExcitationSpec,
     ExperimentConfig,
-    config_digest,
     energy_to_wavelength_nm,
     validate,
 )
@@ -212,7 +211,6 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
 
     chain_pos, chain_rel, chain_cx = [], [], []
     cum_list = cum_weights.tolist()
-    last_cx = len(cum_list) - 1
     uniform = gen.random
     exponential = gen.exponential
 
@@ -238,7 +236,7 @@ def _simulate_partition(gen, start_pulse, n, period_ps, p_exc, cum_weights,
                 d2 = exponential(tau_slow_ps)
             else:
                 d2 = exponential(tau_fast_ps)
-            chain_cx.append(min(bisect_right(cum_list, uniform()), last_cx))
+            chain_cx.append(bisect_right(cum_list, uniform()))
             te = t_c + d2
             chain_pos.append(s)
             chain_rel.append(te - tp)
@@ -323,7 +321,6 @@ def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
     """One click stream per detector from ``clicks``, its ``_GrowingArray``
     of ``_detect`` results: each detector's array is trimmed and sorted in
     place, then its dead time is applied."""
-    digest = config_digest(config)
     streams = []
     for d, spec in enumerate(config.detectors):
         ts = clicks[d].trimmed()
@@ -331,7 +328,7 @@ def _assemble_clicks(config: ExperimentConfig, clicks) -> list[ClickStream]:
         # runs: 5.6 ms against 32 ms for quicksort on C5(a)'s 3.16M clicks
         ts.sort(kind="stable")
         ts = _dead_time_filter(ts, spec.dead_time * 1000.0)
-        streams.append(ClickStream(detector_id=d, timestamps=ts, meta=digest))
+        streams.append(ClickStream(detector_id=d, timestamps=ts))
     return streams
 
 
@@ -419,7 +416,7 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         lives = gen.exponential(tau_fast_ps, _CW_CHUNK)
         emit = t + np.cumsum(waits + lives)
         u_cx = gen.random(_CW_CHUNK)
-        cx = np.minimum(np.searchsorted(cum_weights, u_cx, side="right"), cum_weights.size - 1)
+        cx = np.searchsorted(cum_weights, u_cx, side="right")
         parts_left = (duration_ps - t) / (float(emit[-1]) - t)
         t = float(emit[-1])
         m = int(np.searchsorted(emit, duration_ps))
@@ -452,4 +449,4 @@ def merge_background(stream: ClickStream, dark_rate: float, config: ExperimentCo
     bg = np.floor(gen.random(n) * duration_ps).astype(np.int64)
     merged = np.concatenate([stream.timestamps, bg])
     merged.sort()
-    return ClickStream(detector_id=stream.detector_id, timestamps=merged, meta=stream.meta)
+    return ClickStream(detector_id=stream.detector_id, timestamps=merged)

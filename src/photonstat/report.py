@@ -241,8 +241,4 @@ def read_array_csvs(index_path) -> ArraySpectrumSet:
         intensities.append(y)
     if wavelengths is None:
         raise ValueError(f"{index_path}: empty index")
-    return ArraySpectrumSet(
-        wavelengths_nm=wavelengths,
-        intensities=tuple(intensities),
-        annotations=tuple(() for _ in intensities),
-    )
+    return ArraySpectrumSet(wavelengths_nm=wavelengths, intensities=tuple(intensities))

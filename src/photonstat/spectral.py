@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ChargeTag, wavelength_to_energy_mev
+from .model import wavelength_to_energy_mev
 from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts, profile_fwhm, rng_substream
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LineProfile",
     "LinewidthReport",
     "ArrayStatistics",
-    "PeakAnnotation",
     "ArraySpectrumSet",
     "SpectrumClass",
     "DetectedPeak",
@@ -99,12 +98,11 @@ def voigt_fwhm(fwhm_lorentz: float, fwhm_gauss: float) -> float:
 class TrueLine:
     """Underlying emission line used to synthesize a scan.
 
-    Widths are FWHM in GHz; center is a detuning in GHz.
+    Widths are FWHM in GHz; the line is centered at zero detuning.
     """
 
     lorentzian_fwhm: float
     gaussian_fwhm: float = 0.0
-    center: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -143,9 +141,9 @@ def scan_etalon(
     half_span = 6.0 * width
     step = etalon_fwhm / 4.0
     n_half = int(math.ceil(half_span / step))
-    detunings = true_line.center + step * np.arange(-n_half, n_half + 1)
+    detunings = step * np.arange(-n_half, n_half + 1)
 
-    expected = voigt_profile_numeric(detunings - true_line.center, fl, fg)
+    expected = voigt_profile_numeric(detunings, fl, fg)
     expected = expected * (counts_per_point / expected.max())
     counts = rng_substream(seed, 0).poisson(expected).astype(float)
     return LineProfile(detunings=detunings, intensities=counts)
@@ -321,19 +319,11 @@ class ArrayStatistics:
 
 
 @dataclass(frozen=True)
-class PeakAnnotation:
-    energy_mev: float
-    tag: ChargeTag
-    height: float  # relative to the trion peak
-
-
-@dataclass(frozen=True)
 class ArraySpectrumSet:
     """Spectra for one array on a shared wavelength grid (nm, ascending)."""
 
     wavelengths_nm: np.ndarray
     intensities: tuple[np.ndarray, ...]
-    annotations: tuple[tuple[PeakAnnotation, ...], ...]
 
 
 def generate_array(
@@ -372,36 +362,28 @@ def generate_array(
     sigma_e = st.instrumental_fwhm_uev * 1e-3 * FWHM_TO_SIGMA
 
     spectra = []
-    notes = []
     for i in range(n_devices):
         gen = rng_substream(seed, i)
         e_trion = float(gen.normal(st.mean_trion_energy, st.std_trion_energy))
         h_x = gen.random() * (st.x_height_range[1] - st.x_height_range[0]) + st.x_height_range[0]
         two_peak = gen.random() < st.two_peak_probability
-        peaks = [
-            PeakAnnotation(e_trion, ChargeTag.XMINUS, 1.0),
-            PeakAnnotation(e_trion + st.exciton_splitting, ChargeTag.X, h_x),
-        ]
+        # (energy in meV, height relative to the trion peak): X-, then X
+        peaks = [(e_trion, 1.0), (e_trion + st.exciton_splitting, h_x)]
         if not two_peak:
+            # the satellites: X2-, then the two X-*
             lo, hi = st.satellite_height_range
             h3 = lo + (hi - lo) * gen.random(3)
-            peaks.append(PeakAnnotation(e_trion + st.x2_offset, ChargeTag.XMINUS2, float(h3[0])))
-            peaks.append(PeakAnnotation(e_trion + st.star_offsets[0], ChargeTag.XMINUS_STAR, float(h3[1])))
-            peaks.append(PeakAnnotation(e_trion + st.star_offsets[1], ChargeTag.XMINUS_STAR, float(h3[2])))
+            offsets = (st.x2_offset, *st.star_offsets)
+            peaks += [(e_trion + off, float(h)) for off, h in zip(offsets, h3)]
 
         expected = np.full(wavelengths.size, st.background_counts)
-        for pk in peaks:
-            expected += st.peak_counts * pk.height * np.exp(
-                -0.5 * ((energies - pk.energy_mev) / sigma_e) ** 2
+        for energy, height in peaks:
+            expected += st.peak_counts * height * np.exp(
+                -0.5 * ((energies - energy) / sigma_e) ** 2
             )
         spectra.append(gen.poisson(expected).astype(float))
-        notes.append(tuple(peaks))
 
-    return ArraySpectrumSet(
-        wavelengths_nm=wavelengths,
-        intensities=tuple(spectra),
-        annotations=tuple(notes),
-    )
+    return ArraySpectrumSet(wavelengths_nm=wavelengths, intensities=tuple(spectra))
 
 
 class SpectrumClass(str, enum.Enum):

@@ -85,15 +85,10 @@ def _require_sorted(ts: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ClickStream:
-    """Detector clicks: sorted int64 timestamps in ps plus provenance.
-
-    meta carries the digest of the originating configuration; it is empty for
-    streams loaded from the binary format, which does not store it.
-    """
+    """Detector clicks: sorted int64 timestamps in ps."""
 
     detector_id: int
     timestamps: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -135,12 +130,12 @@ def read_clicks_binary(path) -> ClickStream:
         raise ValueError(f"{path}: unsupported click-stream version {version}")
     if len(raw) - _HEADER.size != 8 * count:
         raise ValueError(f"{path}: payload length does not match declared count {count}")
-    # a view of the payload in raw, so the file is held at most twice
+    # a read-only view of the payload in raw, so the file is held once; the
+    # range check makes the <i8 view of the u64 payload exact
     raw_ts = np.frombuffer(raw, dtype="<u8", offset=_HEADER.size)
     if raw_ts.size and raw_ts.max() >= 1 << 63:
         raise ValueError(f"{path}: timestamp {int(raw_ts.max())} does not fit in int64")
-    ts = raw_ts.astype(np.int64)
-    return ClickStream(detector_id=detector_id, timestamps=ts)
+    return ClickStream(detector_id=detector_id, timestamps=raw_ts.view("<i8"))
 
 
 def read_clicks_csv(path, detector_id: int = 0) -> ClickStream:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import FWHM_TO_SIGMA, FitError, FitProblem, fit_counts
 from .numerics import least_squares  # noqa: F401  perfbench's tests read tcspc.least_squares
-from .streams import ClickStream, _require_sorted
+from .streams import ClickStream
 
 __all__ = [
     "DecayHistogram",
@@ -133,11 +133,7 @@ class PurityReport:
 
 class DipFitDegenerateError(RuntimeError):
     """Raised when the zero-delay peak carries too few counts to fit the
-    central dip; carries the measured g2_zero for reporting."""
-
-    def __init__(self, message: str, g2_zero: float):
-        super().__init__(message)
-        self.g2_zero = g2_zero
+    central dip."""
 
 
 def _bin_count(n_bins: float, bin_width: float) -> int:
@@ -356,13 +352,9 @@ def fit_biexponential(hist: DecayHistogram, fit_start: float | None = None) -> D
 
 
 def _timestamps(stream) -> np.ndarray:
-    if isinstance(stream, ClickStream):
-        return stream.timestamps
-    ts = np.asarray(stream, dtype=np.int64)
-    if ts.ndim != 1:
-        raise ValueError("timestamps must be one-dimensional")
-    _require_sorted(ts)
-    return ts
+    if not isinstance(stream, ClickStream):  # a plain array: ClickStream's checks
+        stream = ClickStream(detector_id=0, timestamps=stream)
+    return stream.timestamps
 
 
 def correlate(start, stop, bin_width: float, window: float,
@@ -521,8 +513,7 @@ def fit_dip_time(hist: CorrelationHistogram, purity: PurityReport,
     if purity.zero_peak_area < threshold:
         raise DipFitDegenerateError(
             f"zero peak holds {purity.zero_peak_area} counts "
-            f"(threshold {threshold:.0f}); no dip to fit",
-            g2_zero=purity.g2_zero)
+            f"(threshold {threshold:.0f}); no dip to fit")
 
     half = 0.5 * hist.rep_period
     sel = (hist.delays >= -half) & (hist.delays < half)

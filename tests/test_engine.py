@@ -525,7 +525,6 @@ class TestScalarReferenceEquivalence:
         _, clicks = simulate_pulsed(cfg)
         only = simulate_clicks(cfg)
         assert [stream_digest(c) for c in only] == [stream_digest(c) for c in clicks]
-        assert [c.meta for c in only] == [c.meta for c in clicks]
 
     @pytest.mark.parametrize("name", ["c5b_20mhz_chains", "no_candidates"])
     def test_streamed_photons_csv_is_that_of_simulate_pulsed(self, name, tmp_path):

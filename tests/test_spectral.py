@@ -213,15 +213,6 @@ class TestGenerateArray:
         assert summary.std_trion_energy == pytest.approx(6.0, rel=0.4)
         assert len(summary.classifications) == 100
 
-    def test_annotations_mark_planted_peaks(self):
-        # one annotation tuple per device, entries inside the energy window
-        spectra = generate_array(5, seed=7)
-        assert len(spectra.annotations) == 5
-        for device_peaks in spectra.annotations:
-            assert device_peaks
-            for ann in device_peaks:
-                assert 1230.0 < ann.energy_mev < 1300.0
-
 
 class TestClassify:
     def _spectrum(self, heights, centers_nm):

@@ -124,6 +124,21 @@ class TestBinaryFormat:
             tracemalloc.stop()
         assert peak <= 2.25 * 8_000_000, f"peak {peak} B for an 8 MB payload"
 
+    def test_read_holds_the_file_once(self, tmp_path):
+        # the timestamps are a read-only view of the file's bytes; an int64
+        # copy of the payload measured 2.125x the file size
+        path = tmp_path / "long.pstm"
+        write_clicks_binary(path, ClickStream(0, np.arange(1_000_000, dtype=np.int64)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            stream = read_clicks_binary(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * size, f"peak {peak} B for a {size} B file"
+        assert not stream.timestamps.flags.writeable
+
 
 _TIMESTAMPS = st.lists(st.integers(0, 2**63 - 1), max_size=40).map(sorted)
 _DETECTOR_IDS = st.integers(0, 2**16 - 1)
