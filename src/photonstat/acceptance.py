@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tempfile
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .model import (
 )
 from .numerics import convolve_profiles
 from .photometry import collection_efficiency, source_efficiency
-from .report import write_report
+from .report import report_text
 from .spectral import (
     ArrayStatistics,
     TrueLine,
@@ -65,10 +63,14 @@ class CriterionResult:
     details: tuple[str, ...]
 
 
+def _flag(ok: bool, text: str) -> tuple[bool, str]:
+    """One (ok, detail line) check: the line ends in its verdict."""
+    return ok, f"{text} {'ok' if ok else 'FAIL'}"
+
+
 def _check(label: str, value: float, target: float, tol: float) -> tuple[bool, str]:
     ok = abs(value - target) <= tol
-    verdict = "ok" if ok else "FAIL"
-    return ok, f"{label} = {value:.6g} (target {target:g} +/- {tol:g}) {verdict}"
+    return _flag(ok, f"{label} = {value:.6g} (target {target:g} +/- {tol:g})")
 
 
 def _result(cid: str, title: str, checks: list[tuple[bool, str]]) -> CriterionResult:
@@ -80,28 +82,11 @@ def _result(cid: str, title: str, checks: list[tuple[bool, str]]) -> CriterionRe
 def _bound(label: str, value: float, limit: float, upper: bool = True) -> tuple[bool, str]:
     ok = value < limit if upper else value > limit
     rel = "<" if upper else ">"
-    verdict = "ok" if ok else "FAIL"
-    return ok, f"{label} = {value:.6g} (require {rel} {limit:g}) {verdict}"
+    return _flag(ok, f"{label} = {value:.6g} (require {rel} {limit:g})")
 
 
 # ---------------------------------------------------------------------------
 # Shared run configurations
-
-
-def _perfect_chain(config: ExperimentConfig) -> ExperimentConfig:
-    chain = dataclasses.replace(
-        config.chain, beta=1.0, directionality=1.0, sideband_pass=1.0, transmission=1.0
-    )
-    return dataclasses.replace(config, chain=chain)
-
-
-def _single_line(config: ExperimentConfig) -> ExperimentConfig:
-    emitter = dataclasses.replace(
-        config.emitter,
-        complexes=(ChargeComplex(ChargeTag.XMINUS, 1264.0, 1.0),),
-    )
-    chain = dataclasses.replace(config.chain, filter_bandwidth=0.0)
-    return dataclasses.replace(config, emitter=emitter, chain=chain)
 
 
 def _hbt_config(
@@ -113,9 +98,14 @@ def _hbt_config(
     n_pulses: int,
     seed: int,
 ) -> ExperimentConfig:
-    cfg = _single_line(_perfect_chain(paper_device_defaults()))
+    """The stock device reduced to one trion line, a lossless unfiltered chain
+    and two ideal detectors of the given jitter."""
+    cfg = paper_device_defaults()
     emitter = dataclasses.replace(
-        cfg.emitter, dark_fraction=dark_fraction, slow_branch_fraction=dark_fraction
+        cfg.emitter,
+        complexes=(ChargeComplex(ChargeTag.XMINUS, 1264.0, 1.0),),
+        dark_fraction=dark_fraction,
+        slow_branch_fraction=dark_fraction,
     )
     excitation = dataclasses.replace(
         cfg.excitation,
@@ -123,26 +113,27 @@ def _hbt_config(
         power_ratio=power_ratio,
         recapture_probability_at_sat=recapture_at_sat,
     )
-    detectors = (
-        DetectorSpec(efficiency=1.0, jitter_fwhm=jitter_fwhm, dead_time=0.0),
-        DetectorSpec(efficiency=1.0, jitter_fwhm=jitter_fwhm, dead_time=0.0),
-    )
+    chain = dataclasses.replace(cfg.chain, beta=1.0, directionality=1.0, sideband_pass=1.0,
+                                transmission=1.0, filter_bandwidth=0.0)
+    detector = DetectorSpec(efficiency=1.0, jitter_fwhm=jitter_fwhm)
     return dataclasses.replace(
         cfg,
         emitter=emitter,
         excitation=excitation,
-        detectors=detectors,
+        chain=chain,
+        detectors=(detector, detector),
         duration=n_pulses,
         rng_seed=seed,
     )
 
 
-def _measure_purity(config: ExperimentConfig):
+def _measure_purity(config: ExperimentConfig, bin_width: float = 100.0):
+    """The HBT correlation of config's two detectors and its purity report."""
     period = 1e12 / config.excitation.rep_rate
     clicks = simulate_clicks(config)
-    hist = correlate(clicks[0], clicks[1], bin_width=100.0, window=10.6 * period,
+    hist = correlate(clicks[0], clicks[1], bin_width=bin_width, window=10.6 * period,
                      rep_period=period)
-    return purity_from_histogram(hist, n_side_peaks=10)
+    return hist, purity_from_histogram(hist, n_side_peaks=10)
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +183,8 @@ def criterion_c3(scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_c4(scale: float = 1.0) -> CriterionResult:
-    cfg = _single_line(_perfect_chain(paper_device_defaults()))
-    cfg = dataclasses.replace(
-        cfg,
-        excitation=dataclasses.replace(
-            cfg.excitation, rep_rate=5e6, recapture_probability_at_sat=0.0
-        ),
-        detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=0.0, dead_time=0.0),),
-        duration=1_700_000,
-        rng_seed=210,
-    )
+    cfg = dataclasses.replace(_hbt_config(5e6, 0.1, 0.0, 1.0, 0.0, 1_700_000, seed=210),
+                              detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=0.0),))
     clicks = simulate_clicks(cfg)
     n_detected = len(clicks[0])
     period = 1e12 / cfg.excitation.rep_rate
@@ -221,17 +204,13 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     # (a) no re-excitation: the zero peak is empty up to bridging leakage,
     # which a 50 ns period makes negligible
     quiet = _hbt_config(20e6, 0.0, 0.0, 1.0, 0.0, 10_000_000, seed=501)
-    purity_a = _measure_purity(quiet)
+    _, purity_a = _measure_purity(quiet)
     checks.append(_bound("(a) g2(0), recapture off", purity_a.g2_zero, 0.01 * scale))
 
     # (b) recapture tuned to a 0.96 purity; dip time recovered through 200 ps
     # detector jitter
     tuned = _hbt_config(20e6, 0.0, 0.40, 1.0, 200.0, 4_000_000, seed=502)
-    period = 1e12 / tuned.excitation.rep_rate
-    clicks = simulate_clicks(tuned)
-    hist = correlate(clicks[0], clicks[1], bin_width=10.0, window=10.6 * period,
-                     rep_period=period)
-    purity_b = purity_from_histogram(hist, n_side_peaks=10)
+    hist, purity_b = _measure_purity(tuned, bin_width=10.0)
     dip = fit_dip_time(hist, purity_b, jitter_fwhm=200.0)
     checks.append(_check("(b) purity at saturation", purity_b.purity, 0.96, 0.02 * scale))
     checks.append(_check("(b) refill time", dip, 50.0, 10.0 * scale))
@@ -240,27 +219,26 @@ def criterion_c5(scale: float = 1.0) -> CriterionResult:
     purities = []
     for power, n_pulses, seed in ((1.0, 2_000_000, 503), (0.5, 4_000_000, 504), (0.1, 16_000_000, 505)):
         cfg = _hbt_config(80e6, 0.1, 0.40, power, 200.0, n_pulses, seed=seed)
-        report = _measure_purity(cfg)
+        _, report = _measure_purity(cfg)
         purities.append((power, report.purity))
     monotone = purities[0][1] <= purities[1][1] <= purities[2][1]
     seq = ", ".join(f"P/Psat={p:g}: {v:.4f}" for p, v in purities)
-    checks.append((monotone, f"(c) purity non-decreasing as power drops: {seq} "
-                             f"{'ok' if monotone else 'FAIL'}"))
+    checks.append(_flag(monotone, f"(c) purity non-decreasing as power drops: {seq}"))
 
     # (d) the observed device purity band is attainable by the recapture
     # strength alone (device-specific values are unpublished)
     band = []
     for p_sat, seed in ((0.07, 506), (0.40, 507), (1.0, 508)):
         cfg = _hbt_config(20e6, 0.0, p_sat, 1.0, 0.0, 2_000_000, seed=seed)
-        report = _measure_purity(cfg)
+        _, report = _measure_purity(cfg)
         band.append((p_sat, report.purity))
     lo, hi = 0.882 - 0.01 * scale, 0.994 + 0.01 * scale
     in_band = all(lo <= v <= hi for _, v in band)
     spread = max(v for _, v in band) - min(v for _, v in band)
     seq = ", ".join(f"p_sat={p:g}: {v:.4f}" for p, v in band)
-    ok_d = in_band and spread >= 0.05
-    checks.append((ok_d, f"(d) sweep spans the observed band [{lo:.3f}, {hi:.3f}]: {seq} "
-                         f"(spread {spread:.3f}) {'ok' if ok_d else 'FAIL'}"))
+    checks.append(_flag(in_band and spread >= 0.05,
+                        f"(d) sweep spans the observed band [{lo:.3f}, {hi:.3f}]: {seq} "
+                        f"(spread {spread:.3f})"))
 
     return _result("C5", "single-photon purity", checks)
 
@@ -340,36 +318,25 @@ def criterion_c8(scale: float = 1.0) -> CriterionResult:
 
 def criterion_c9(scale: float = 1.0) -> CriterionResult:
     del scale  # byte comparisons have no tolerance
-    cfg = _single_line(_perfect_chain(paper_device_defaults()))
-    cfg = dataclasses.replace(
-        cfg,
-        excitation=dataclasses.replace(cfg.excitation, rep_rate=5e6),
-        duration=200_000,
-        rng_seed=901,
-    )
+    cfg = dataclasses.replace(_hbt_config(5e6, 0.1, 0.40, 1.0, 200.0, 200_000, seed=901),
+                              detectors=paper_device_defaults().detectors)
 
-    def run_once() -> tuple[str, bytes]:
+    def run_once() -> tuple[str, str]:
         clicks = simulate_clicks(cfg)
         stream_blob = "".join(stream_digest(s) for s in clicks)
         period = 1e12 / cfg.excitation.rep_rate
         hist = build_decay_histogram(clicks[0], bin_width=100.0, fold=period)
         fit = fit_biexponential(hist)
-        with tempfile.TemporaryDirectory() as td:
-            path = write_report(Path(td) / "report.json", "lifetime", fit,
-                                seed=cfg.rng_seed, input_digest=config_digest(cfg))
-            report_blob = path.read_bytes()
-        return stream_blob, report_blob
+        # the report file's bytes: json.dumps escapes non-ASCII
+        return stream_blob, report_text("lifetime", fit, seed=cfg.rng_seed,
+                                        input_digest=config_digest(cfg))
 
     first = run_once()
     second = run_once()
 
     checks = [
-        (first[0] == second[0],
-         f"stream bytes identical across reruns: "
-         f"{'ok' if first[0] == second[0] else 'FAIL'}"),
-        (first[1] == second[1],
-         f"report bytes identical across reruns: "
-         f"{'ok' if first[1] == second[1] else 'FAIL'}"),
+        _flag(first[0] == second[0], "stream bytes identical across reruns:"),
+        _flag(first[1] == second[1], "report bytes identical across reruns:"),
     ]
     return _result("C9", "determinism", checks)
 

@@ -420,8 +420,6 @@ def simulate_cw(config: ExperimentConfig) -> list[ClickStream]:
         parts_left = (duration_ps - t) / (float(emit[-1]) - t)
         t = float(emit[-1])
         m = int(np.searchsorted(emit, duration_ps))
-        if m == 0:
-            break
         for out, part in zip(clicks, detect(gen, emit[:m], cx[:m])):
             out.append(part, parts_left)
     return _assemble_clicks(config, clicks)

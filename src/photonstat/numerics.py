@@ -121,9 +121,10 @@ def least_squares(problem: FitProblem) -> FitResult:
     Raises
     ------
     FitError
-        If the model is not finite at the start, or if a parameter has no
-        effect on the residual at the solution (zero Jacobian column), which
-        leaves the normal equations singular.
+        If the model is not finite at the start, or if the normal equations
+        are singular at the solution: a parameter has no effect on the
+        residual (zero Jacobian column), or the parameters cannot be
+        separated (rank-deficient Jacobian).
     """
     y = np.asarray(problem.y, dtype=float)
     p = np.asarray(problem.initial_params, dtype=float).copy()
@@ -172,7 +173,8 @@ def least_squares(problem: FitProblem) -> FitResult:
     try:
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(a)
+        raise FitError("singular normal equations: the parameters cannot be separated "
+                       "at the solution") from None
     cost = float(sol.fun @ sol.fun)
     if problem.weights is None:
         dof = max(y.size - p.size, 1)

@@ -29,6 +29,7 @@ __all__ = [
     "atomic_write",
     "atomic_write_text",
     "jsonable",
+    "report_text",
     "write_report",
     "read_report",
     "write_xy_csv",
@@ -87,9 +88,9 @@ def jsonable(value):
     return value
 
 
-def write_report(path, kind: str, payload, seed: int | None = None,
-                 input_digest: str | None = None) -> Path:
-    """Write one JSON report envelope."""
+def report_text(kind: str, payload, seed: int | None = None,
+                input_digest: str | None = None) -> str:
+    """One JSON report envelope, as the text write_report writes."""
     envelope = {
         "kind": kind,
         "tool_version": __version__,
@@ -97,8 +98,13 @@ def write_report(path, kind: str, payload, seed: int | None = None,
         "provenance": {"input_digest": input_digest},
         "payload": jsonable(payload),
     }
-    text = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    return atomic_write_text(path, text)
+    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_report(path, kind: str, payload, seed: int | None = None,
+                 input_digest: str | None = None) -> Path:
+    """Write one JSON report envelope."""
+    return atomic_write_text(path, report_text(kind, payload, seed, input_digest))
 
 
 def read_report(path) -> dict:
@@ -219,10 +225,7 @@ def write_array_csvs(out_dir, spectra: ArraySpectrumSet) -> list[Path]:
 
 def read_array_csvs(index_path) -> ArraySpectrumSet:
     """Rebuild an ArraySpectrumSet from an index.csv written by write_array_csvs.
-
-    Annotations are generator-side truth and do not survive the trip; the
-    result carries empty annotation tuples.
-    """
+    Every device's CSV must share the first one's wavelength grid."""
     index_path = Path(index_path)
     base = index_path.parent
     with open(index_path) as fh:

@@ -237,22 +237,19 @@ def fit_lineshape(profile: LineProfile, etalon_fwhm: float) -> LinewidthReport:
     except FitError:
         pass
     else:
-        gl_v, gg_v = float(voigt.params[2]), float(voigt.params[3])
-        fraction = gg_v / (gl_v + gg_v) if gl_v + gg_v > 0 else 0.0
+        gl_fit, gg_fit = float(voigt.params[2]), float(voigt.params[3])
+        fraction = gg_fit / (gl_fit + gg_fit) if gl_fit + gg_fit > 0 else 0.0
         use_voigt = voigt.residual_norm**2 < 0.8 * lor.residual_norm**2 and fraction > 0.2
 
     if use_voigt:
-        gl_fit, gg_fit = float(voigt.params[2]), float(voigt.params[3])
         measured = voigt_fwhm(gl_fit + etalon_fwhm, gg_fit)
         deconvolved = voigt_fwhm(gl_fit, gg_fit)
         model_name = "Voigt"
-        fraction = gg_fit / (gl_fit + gg_fit)
     else:
-        gl_fit, gg_fit = float(lor.params[2]), 0.0
+        gl_fit, gg_fit, fraction = float(lor.params[2]), 0.0, 0.0
         measured = gl_fit + etalon_fwhm
         deconvolved = gl_fit
         model_name = "Lorentzian"
-        fraction = 0.0
 
     return LinewidthReport(
         model=model_name,

@@ -85,13 +85,15 @@ def _require_sorted(ts: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ClickStream:
-    """Detector clicks: sorted int64 timestamps in ps."""
+    """Detector clicks: sorted int64 timestamps in ps, held read-only.  The
+    array is a view, so a caller's own array stays writable."""
 
     detector_id: int
     timestamps: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps, dtype=np.int64).view()
+        ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         if ts.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")

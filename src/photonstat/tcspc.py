@@ -164,10 +164,8 @@ def build_decay_histogram(events, bin_width: float, window: float | None = None,
     event.  Empty input produces an empty histogram, which the fit rejects
     later.  More than MAX_BINS bins raise ValueError.
     """
-    if isinstance(events, ClickStream):
-        times = events.timestamps.astype(np.float64)
-    else:
-        times = np.asarray(events, dtype=np.float64)
+    times = np.asarray(events.timestamps if isinstance(events, ClickStream) else events,
+                       dtype=np.float64)
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
     pre = 0.0
@@ -416,9 +414,10 @@ def correlate(start, stop, bin_width: float, window: float,
                                 rep_period=rep_period)
 
 
-def _peak_area(hist: CorrelationHistogram, center: float, half_width: float) -> int:
-    sel = (hist.delays >= center - half_width) & (hist.delays < center + half_width)
-    return int(hist.counts[sel].sum())
+def _period_mask(hist: CorrelationHistogram, center: float) -> np.ndarray:
+    """The bins of the period [center - T/2, center + T/2) of a peak."""
+    half = 0.5 * hist.rep_period
+    return (hist.delays >= center - half) & (hist.delays < center + half)
 
 
 def purity_from_histogram(hist: CorrelationHistogram,
@@ -440,10 +439,9 @@ def purity_from_histogram(hist: CorrelationHistogram,
         raise ValueError(
             f"correlation window {span:.0f} ps too short for {n_side_peaks} "
             f"side peaks (needs {needed:.0f} ps)")
-    half = 0.5 * rep_period
-    zero_area = _peak_area(hist, 0.0, half)
+    zero_area = int(hist.counts[_period_mask(hist, 0.0)].sum())
     side_areas = [
-        _peak_area(hist, sign * j * rep_period, half)
+        int(hist.counts[_period_mask(hist, sign * j * rep_period)].sum())
         for j in range(1, n_side_peaks + 1)
         for sign in (-1.0, 1.0)
     ]
@@ -466,18 +464,15 @@ def purity_from_histogram(hist: CorrelationHistogram,
 
 def _dip_model_factory(bin_width: float, sigma: float):
     """Central-peak model A e^{-|t|/tau_env} (1 - e^{-|t|/tau_dip}),
-    numerically convolved with the pair-jitter Gaussian when it matters."""
+    numerically convolved with the pair-jitter Gaussian.  Below a tenth of a
+    bin the kernel is one unit tap, which returns the model bit for bit."""
     if sigma < 0.1 * bin_width:
-        def model(params, t):
-            amp, tau_env, tau_dip = params
-            at = np.abs(t)
-            return amp * np.exp(-at / tau_env) * (1.0 - np.exp(-at / tau_dip))
-        return model
-
-    pad = int(math.ceil(5.0 * sigma / bin_width))
-    kx = np.arange(-pad, pad + 1) * bin_width
-    kernel = np.exp(-0.5 * (kx / sigma) ** 2)
-    kernel /= kernel.sum()
+        pad, kernel = 0, np.ones(1)
+    else:
+        pad = int(math.ceil(5.0 * sigma / bin_width))
+        kx = np.arange(-pad, pad + 1) * bin_width
+        kernel = np.exp(-0.5 * (kx / sigma) ** 2)
+        kernel /= kernel.sum()
 
     def model(params, t):
         amp, tau_env, tau_dip = params
@@ -516,7 +511,7 @@ def fit_dip_time(hist: CorrelationHistogram, purity: PurityReport,
             f"(threshold {threshold:.0f}); no dip to fit")
 
     half = 0.5 * hist.rep_period
-    sel = (hist.delays >= -half) & (hist.delays < half)
+    sel = _period_mask(hist, 0.0)
     t = hist.delays[sel]
     y = hist.counts[sel].astype(np.float64)
     sigma_pair = math.sqrt(2.0) * jitter_fwhm * FWHM_TO_SIGMA

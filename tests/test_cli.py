@@ -405,6 +405,20 @@ class TestAnalyze:
         assert payload["purity"]["n_side_peaks"] == 3
         assert payload["dip_time_ps"] is not None
 
+    def test_an_empty_zero_peak_is_noted_not_fitted(self, tmp_path):
+        # C5(a)'s quiet device: without recapture the zero peak holds nothing
+        quiet = _hbt_config(20e6, 0.0, 0.0, 1.0, 0.0, 400_000, seed=501)
+        for d, stream in enumerate(simulate_clicks(quiet)):
+            write_clicks_binary(tmp_path / f"quiet{d}.pstm", stream)
+        out = tmp_path / "g2"
+        rc = main(["analyze", "g2", "--input", str(tmp_path / "quiet0.pstm"),
+                   "--input2", str(tmp_path / "quiet1.pstm"), "--rep-rate", "20e6",
+                   "--dip-jitter-fwhm", "200", "--out-dir", str(out)])
+        assert rc == 0
+        payload = read_report(out / "g2_report.json")["payload"]
+        assert payload["dip_time_ps"] is None
+        assert payload["dip_note"].startswith("zero peak holds 0 counts")
+
     @pytest.fixture
     def negative_csvs(self, tmp_path):
         # 40k pulses at 20 MHz, one 1.5 ns decay each, split at random over

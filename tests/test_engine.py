@@ -19,7 +19,7 @@ import pytest
 
 import photonstat
 from photonstat import engine
-from photonstat.acceptance import _hbt_config, _perfect_chain, _single_line
+from photonstat.acceptance import _hbt_config
 from photonstat.cli import main
 from photonstat.engine import (
     PARTITION_PULSES,
@@ -481,15 +481,9 @@ def _hbt(rep_rate, dark_fraction, p_sat, power, n_pulses, seed, tau_slow=None):
 
 
 def _c4_config(n_pulses):
-    cfg = _single_line(_perfect_chain(paper_device_defaults()))
-    return dataclasses.replace(
-        cfg,
-        excitation=dataclasses.replace(cfg.excitation, rep_rate=5e6,
-                                       recapture_probability_at_sat=0.0),
-        detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=0.0, dead_time=0.0),),
-        duration=n_pulses,
-        rng_seed=210,
-    )
+    # C4's device: acceptance builds it the same way
+    return dataclasses.replace(_hbt_config(5e6, 0.1, 0.0, 1.0, 0.0, n_pulses, seed=210),
+                               detectors=(DetectorSpec(efficiency=1.0, jitter_fwhm=0.0),))
 
 
 EQUIVALENCE_CONFIGS = {

@@ -102,6 +102,17 @@ class TestLeastSquares:
                 FitProblem(model=ignores_second, x=x, y=y, initial_params=[1.0, 1.0])
             )
 
+    def test_inseparable_parameters_raise_instead_of_a_zero_covariance(self):
+        # any split of the sum fits; started on the exact solution, the two
+        # Jacobian columns are equal, and a pseudo-inverse scaled by the zero
+        # residual reported sigma = 0 for both parameters
+        def summed(params, x):
+            return (params[0] + params[1]) * x
+
+        x = np.linspace(1.0, 5.0, 20)
+        with pytest.raises(FitError, match="singular normal equations"):
+            least_squares(FitProblem(model=summed, x=x, y=2.0 * x, initial_params=[1.0, 1.0]))
+
     def test_fewer_points_than_parameters_rejected(self):
         with pytest.raises(ValueError, match="at least as many data points"):
             least_squares(

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from photonstat.engine import simulate_pulsed
-from photonstat.model import ChargeTag, paper_device_defaults
+from photonstat.engine import merge_background, simulate_cw, simulate_pulsed
+from photonstat.model import ChargeTag, ExcitationMode, paper_device_defaults
 from photonstat.streams import (
     ClickStream,
     PhotonStream,
@@ -60,6 +60,30 @@ class TestClickStream:
 
     def test_len(self, clicks):
         assert len(clicks) == 5000
+
+    def test_timestamps_are_read_only_from_every_producer(self, tmp_path):
+        base = paper_device_defaults()
+        pulsed = dataclasses.replace(base, duration=20_000)
+        cw = dataclasses.replace(
+            base, excitation=dataclasses.replace(base.excitation, mode=ExcitationMode.CW),
+            duration=1e-4)
+        _, streams = simulate_pulsed(pulsed)
+        streams += simulate_cw(cw)
+        streams.append(merge_background(streams[0], 1e6, pulsed))
+        write_clicks_binary(tmp_path / "s.pstm", streams[0])
+        np.savetxt(tmp_path / "s.csv", streams[0].timestamps, fmt="%d")
+        streams += [read_clicks_binary(tmp_path / "s.pstm"), read_clicks_csv(tmp_path / "s.csv")]
+        for stream in streams:
+            assert len(stream) > 0
+            with pytest.raises(ValueError, match="read-only"):
+                stream.timestamps[:1] = 0
+
+    def test_a_callers_array_stays_writable(self):
+        ts = np.array([1, 5, 9], dtype=np.int64)
+        stream = ClickStream(detector_id=0, timestamps=ts)
+        assert not stream.timestamps.flags.writeable
+        ts[0] = 0
+        assert stream.timestamps[0] == 0  # a view, not a copy
 
 
 class TestBinaryFormat:
